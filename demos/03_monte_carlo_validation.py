@@ -43,5 +43,5 @@ for name, pair in pairs.items():
     )
 
 print("\nsame seed twice is bit-identical; the effective carrier phase is")
-print("drawn but cancels in the squared magnitude, so forcing it to zero")
-print("changes nothing (see estimate_snr(zero_phase=True)).")
+print("drawn, to keep the random stream of a full receiver path, but it")
+print("cancels in the squared magnitude, so the estimate never reads it.")

@@ -119,8 +119,35 @@ def _print_json(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _snr_value(breakdown) -> object:
-    return "unbounded" if breakdown.unbounded else breakdown.snr
+def _snr_value(unbounded: bool, value: float) -> object:
+    """An SNR for output: the value, or the marker "unbounded"."""
+    return "unbounded" if unbounded else value
+
+
+CSV_HEADER = ["label", "theta_a", "theta_c", "theta_hat_a", "theta_hat_c", "snr"]
+
+
+def _csv_row(label: str, peaks, breakdown) -> list[str]:
+    """The peaks of a set and the SNR of its user 1, as one CSV row."""
+    return [
+        label, repr(peaks.theta_a), repr(peaks.theta_c),
+        repr(peaks.theta_hat_a), repr(peaks.theta_hat_c),
+        str(_snr_value(breakdown.unbounded, breakdown.snr)),
+    ]
+
+
+def _write_csv(path: str, rows: list[list[str]]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
+
+
+def _thread_count(threads) -> int:
+    """--threads as a worker count; 0 or absent means machine parallelism."""
+    if threads is not None and threads < 0:
+        raise CliError("--threads must not be negative")
+    return threads or os.cpu_count() or 1
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -179,8 +206,8 @@ def _evaluate_payload(sequences, users, power, symbol_duration, noise):
         symbol_duration=symbol_duration,
         noise_density=noise,
     )
-    breakdowns = [snr(cfg, selected, u) for u in range(1, len(selected) + 1)]
     coeffs = [decompose(s) for s in selected]
+    breakdowns = [snr(cfg, coeffs, u) for u in range(1, len(selected) + 1)]
     peaks = correlation_peaks(coeffs)
     payload = {
         "command": "evaluate",
@@ -190,7 +217,7 @@ def _evaluate_payload(sequences, users, power, symbol_duration, noise):
         "power": power,
         "symbol_duration": symbol_duration,
         "noise_density": noise,
-        "snr": [_snr_value(b) for b in breakdowns],
+        "snr": [_snr_value(b.unbounded, b.snr) for b in breakdowns],
         "interference_variance": [b.interference_variance for b in breakdowns],
         "noise_variance": breakdowns[0].noise_variance,
         "peaks": {
@@ -221,16 +248,7 @@ def cmd_evaluate(args) -> int:
     )
     _print_json(payload)
     if args.csv:
-        snr_1 = breakdowns[0]
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "theta_a", "theta_c", "theta_hat_a", "theta_hat_c", "snr"])
-            label = "+".join(s.label for s in _select_users(sequences, users))
-            writer.writerow([
-                label, repr(peaks.theta_a), repr(peaks.theta_c),
-                repr(peaks.theta_hat_a), repr(peaks.theta_hat_c),
-                "unbounded" if snr_1.unbounded else repr(snr_1.snr),
-            ])
+        _write_csv(args.csv, [_csv_row("+".join(payload["labels"]), peaks, breakdowns[0])])
         _write_manifest(os.path.dirname(os.path.abspath(args.csv)), "evaluate", args, seed=None)
     return EXIT_OK
 
@@ -263,8 +281,7 @@ def cmd_optimize(args) -> int:
         constraint_tolerance=args.constraint_tol,
         seed=args.seed,
     )
-    threads = args.threads or os.cpu_count() or 1
-    report = solve_multistart(args.n, cfg, threads=threads)
+    report = solve_multistart(args.n, cfg, threads=_thread_count(args.threads))
     os.makedirs(args.out, exist_ok=True)
     write_sequence_set(os.path.join(args.out, "sequences.json"), report.best_sequences)
     with open(os.path.join(args.out, "report.json"), "w") as fh:
@@ -299,7 +316,7 @@ def cmd_simulate(args) -> int:
     )
     if args.trials < 100:
         raise CliError("--trials must be at least 100")
-    threads = args.threads or os.cpu_count() or 1
+    threads = _thread_count(args.threads)
     estimate = estimate_snr(cfg, selected, 1, args.trials, args.seed, threads=threads)
     analytic = snr(cfg, selected, 1)
     if estimate.var_interference_stderr > 0:
@@ -318,11 +335,11 @@ def cmd_simulate(args) -> int:
         "estimate": {
             "var_interference_mean": estimate.var_interference_mean,
             "var_interference_stderr": estimate.var_interference_stderr,
-            "snr": "unbounded" if estimate.unbounded else estimate.snr_estimate,
+            "snr": _snr_value(estimate.unbounded, estimate.snr_estimate),
         },
         "analytic": {
             "var_interference": analytic.interference_variance,
-            "snr": _snr_value(analytic),
+            "snr": _snr_value(analytic.unbounded, analytic.snr),
         },
         "z_score": z,
     }
@@ -344,22 +361,14 @@ def cmd_scatter(args) -> int:
             coeffs = [decompose(s) for s in sequences]
             peaks = correlation_peaks(coeffs)
             cfg = CdmaConfig(n_chips=sequences[0].n_chips, n_users=len(sequences))
-            breakdown = snr(cfg, sequences, 1) if len(sequences) >= 2 else None
+            breakdown = snr(cfg, coeffs, 1)
         except (CliError, ValueError) as exc:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
             continue
-        label = os.path.splitext(os.path.basename(path))[0]
-        snr_text = "unbounded" if breakdown is None or breakdown.unbounded else repr(breakdown.snr)
-        rows.append([
-            label, repr(peaks.theta_a), repr(peaks.theta_c),
-            repr(peaks.theta_hat_a), repr(peaks.theta_hat_c), snr_text,
-        ])
+        rows.append(_csv_row(os.path.splitext(os.path.basename(path))[0], peaks, breakdown))
     if not rows:
         raise CliError("no readable sequence sets")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "theta_a", "theta_c", "theta_hat_a", "theta_hat_c", "snr"])
-        writer.writerows(rows)
+    _write_csv(args.out, rows)
     _write_manifest(os.path.dirname(os.path.abspath(args.out)), "scatter", args, seed=None)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK

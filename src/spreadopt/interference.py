@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralCoeffs, decompose, sequence_entries
+from .spectral import SpectralCoeffs, _phase_tables, decompose, sequence_entries
 
 __all__ = [
     "CdmaConfig",
@@ -121,18 +121,6 @@ def shift_matrix(l: int, bits: BitWindow, n_chips: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
-def _phase_tables(n_chips: int):
-    """lam[l, m-1] = exp(-2 pi j l m/N) and the half-bin shifted variant."""
-    l = np.arange(n_chips + 1)[:, None]
-    m = np.arange(1, n_chips + 1)[None, :]
-    lam = np.exp(-2j * np.pi * l * m / n_chips)
-    lam_hat = np.exp(-2j * np.pi * l * (m / n_chips + 1.0 / (2 * n_chips)))
-    lam.setflags(write=False)
-    lam_hat.setflags(write=False)
-    return lam, lam_hat
-
-
 def spectral_phases(l: int, n_chips: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit-modulus phase factors (lambda, lambda_hat) over m = 1..N at shift l."""
     lam, lam_hat = _phase_tables(n_chips)
@@ -193,18 +181,24 @@ def gamma_integral(s_i, s_k, bits: BitWindow, l: int, chip_duration: float) -> f
     return (chip_duration**3 / 3.0) * float(quad)
 
 
-def _check_user_set(cfg: CdmaConfig, sequences, i: int):
+def _check_user_set(cfg: CdmaConfig, sequences, i: int) -> list:
+    """Validate a user set of chip sequences and/or SpectralCoeffs for user i.
+
+    Returns the set with every chip sequence replaced by its chip vector;
+    SpectralCoeffs are passed through unchanged.
+    """
     if len(sequences) != cfg.n_users:
         raise ValueError(
             f"expected {cfg.n_users} sequences for this configuration, got {len(sequences)}"
         )
     if not 1 <= i <= cfg.n_users:
         raise ValueError(f"user index {i} out of range 1..{cfg.n_users}")
-    entries = [sequence_entries(s) for s in sequences]
-    for e in entries:
-        if e.shape[0] != cfg.n_chips:
+    users = [s if isinstance(s, SpectralCoeffs) else sequence_entries(s) for s in sequences]
+    for u in users:
+        n = u.n_chips if isinstance(u, SpectralCoeffs) else u.shape[0]
+        if n != cfg.n_chips:
             raise ValueError("sequence length does not match cfg.n_chips")
-    return entries
+    return users
 
 
 def _pair_bit_average(si: np.ndarray, sk: np.ndarray) -> float:
@@ -237,6 +231,17 @@ def interference_variance_direct(cfg: CdmaConfig, sequences, i: int) -> float:
     return (cfg.power / (4.0 * cfg.symbol_duration)) * total
 
 
+@lru_cache(maxsize=None)
+def _weights(n_chips: int) -> tuple[np.ndarray, np.ndarray]:
+    """The S_m weights (1 + cos(2 pi m/N)/2, 1 + cos(2 pi (m/N + 1/(2N)))/2), m = 1..N."""
+    m = np.arange(1, n_chips + 1)
+    w_alpha = 1.0 + 0.5 * np.cos(2 * np.pi * m / n_chips)
+    w_beta = 1.0 + 0.5 * np.cos(2 * np.pi * (m / n_chips + 1.0 / (2 * n_chips)))
+    w_alpha.setflags(write=False)
+    w_beta.setflags(write=False)
+    return w_alpha, w_beta
+
+
 def s_m_terms(c_i: SpectralCoeffs, c_k: SpectralCoeffs) -> np.ndarray:
     """Per-frequency interference weights S_m for one user pair.
 
@@ -246,22 +251,17 @@ def s_m_terms(c_i: SpectralCoeffs, c_k: SpectralCoeffs) -> np.ndarray:
     """
     if c_i.n_chips != c_k.n_chips:
         raise ValueError("coefficient vectors must have equal length")
-    n = c_i.n_chips
-    m = np.arange(1, n + 1)
-    w_alpha = 1.0 + 0.5 * np.cos(2 * np.pi * m / n)
-    w_beta = 1.0 + 0.5 * np.cos(2 * np.pi * (m / n + 1.0 / (2 * n)))
+    w_alpha, w_beta = _weights(c_i.n_chips)
     return (
         np.abs(c_i.alpha) ** 2 * np.abs(c_k.alpha) ** 2 * w_alpha
         + np.abs(c_i.beta) ** 2 * np.abs(c_k.beta) ** 2 * w_beta
     )
 
 
-def _as_coeffs(s) -> SpectralCoeffs:
-    return s if isinstance(s, SpectralCoeffs) else decompose(s)
-
-
 def _s_m_sum(cfg: CdmaConfig, sequences, i: int) -> float:
-    coeffs = [_as_coeffs(s) for s in sequences]
+    """sum_{k != i} sum_m S_m(i, k) over a validated user set."""
+    users = _check_user_set(cfg, sequences, i)
+    coeffs = [u if isinstance(u, SpectralCoeffs) else decompose(u) for u in users]
     total = 0.0
     for k, ck in enumerate(coeffs, start=1):
         if k == i:
@@ -276,12 +276,6 @@ def interference_variance_spectral(cfg: CdmaConfig, sequences, i: int) -> float:
     ``sequences`` may hold chip sequences or ready-made SpectralCoeffs.
     Must agree with interference_variance_direct to roundoff.
     """
-    if len(sequences) != cfg.n_users:
-        raise ValueError(
-            f"expected {cfg.n_users} sequences for this configuration, got {len(sequences)}"
-        )
-    if not 1 <= i <= cfg.n_users:
-        raise ValueError(f"user index {i} out of range 1..{cfg.n_users}")
     scale = cfg.power * cfg.symbol_duration**2 / (12.0 * cfg.n_chips**2)
     return scale * _s_m_sum(cfg, sequences, i)
 
@@ -292,15 +286,6 @@ def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
     With no interferers and zero noise density the SNR has no finite value;
     the result is flagged ``unbounded`` and carries snr = inf.
     """
-    if not isinstance(sequences[0], SpectralCoeffs):
-        _check_user_set(cfg, sequences, i)
-    else:
-        if len(sequences) != cfg.n_users:
-            raise ValueError(
-                f"expected {cfg.n_users} sequences for this configuration, got {len(sequences)}"
-            )
-        if not 1 <= i <= cfg.n_users:
-            raise ValueError(f"user index {i} out of range 1..{cfg.n_users}")
     s_sum = _s_m_sum(cfg, sequences, i)
     p, t, n0 = cfg.power, cfg.symbol_duration, cfg.noise_density
     var_i = p * t**2 / (12.0 * cfg.n_chips**2) * s_sum

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import SpectralCoeffs
+from .spectral import SpectralCoeffs, _phase_tables
 
 __all__ = [
     "CorrelationPeaks",
@@ -81,8 +81,7 @@ def periodic_correlation(c_u: SpectralCoeffs, c_v: SpectralCoeffs, l: int) -> co
         raise ValueError("coefficient vectors must have equal length")
     n = c_u.n_chips
     _check_shift(l, n)
-    m = np.arange(1, n + 1)
-    lam = np.exp(-2j * np.pi * l * m / n)
+    lam = _phase_tables(n)[0][l]
     return complex(np.sum(lam * np.conj(c_u.alpha) * c_v.alpha))
 
 
@@ -92,20 +91,18 @@ def aperiodic_correlation(c_u: SpectralCoeffs, c_v: SpectralCoeffs, l: int) -> c
         raise ValueError("coefficient vectors must have equal length")
     n = c_u.n_chips
     _check_shift(l, n)
-    m = np.arange(1, n + 1)
-    lam_hat = np.exp(-2j * np.pi * l * (m / n + 1.0 / (2 * n)))
+    lam_hat = _phase_tables(n)[1][l]
     return complex(np.sum(lam_hat * np.conj(c_u.beta) * c_v.beta))
 
 
 def _profiles(c_u: SpectralCoeffs, c_v: SpectralCoeffs) -> tuple[np.ndarray, np.ndarray]:
     """Both correlations at every shift l = 0..N-1 at once."""
     n = c_u.n_chips
-    l = np.arange(n)[:, None]
-    m = np.arange(1, n + 1)[None, :]
+    lam, lam_hat = _phase_tables(n)
     prod_a = np.conj(c_u.alpha) * c_v.alpha
     prod_b = np.conj(c_u.beta) * c_v.beta
-    theta = np.exp(-2j * np.pi * l * m / n) @ prod_a
-    theta_hat = np.exp(-2j * np.pi * l * (m / n + 1.0 / (2 * n))) @ prod_b
+    theta = lam[:n] @ prod_a
+    theta_hat = lam_hat[:n] @ prod_b
     return theta, theta_hat
 
 

@@ -23,9 +23,10 @@ the best iterate.  The multi-restart driver draws an independent feasible
 starting point per restart (streams derived from the master seed) and keeps
 the best-SNR converged result.
 
-A full-variable validation mode keeps beta' as free variables under the
-explicit linear coupling constraints; it exists to measure the coupling
-error e2 literally rather than by construction.
+The reported beta is phi_hat' a', the same real matvec that the coupling
+error e2 measures, so a report's e2 is 0 by construction.  The coupling is
+checked independently by decomposing the emitted chip sequences, whose beta
+must match both phi_hat alpha and the reported beta to roundoff.
 """
 
 import math
@@ -37,7 +38,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .interference import s_m_terms
+from .interference import _weights, s_m_terms
 from .sequences import ChipSequence, random_feasible_point
 from .spectral import SpectralCoeffs, coupling_matrices, decompose, reconstruct
 
@@ -102,16 +103,12 @@ def real_coupling_matrices(n_chips: int) -> RealCouplingMatrices:
 
 
 @lru_cache(maxsize=None)
-def _weights(n_chips: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interference weights repeated over the (Re; Im) stacking."""
-    m = np.arange(1, n_chips + 1)
-    w_alpha = 1.0 + 0.5 * np.cos(2 * np.pi * m / n_chips)
-    w_beta = 1.0 + 0.5 * np.cos(2 * np.pi * (m / n_chips + 1.0 / (2 * n_chips)))
-    w_alpha2 = np.concatenate([w_alpha, w_alpha])
-    w_beta2 = np.concatenate([w_beta, w_beta])
-    w_alpha2.setflags(write=False)
-    w_beta2.setflags(write=False)
-    return w_alpha2, w_beta2
+def _stacked_weights(n_chips: int) -> tuple[np.ndarray, np.ndarray]:
+    """The S_m weights repeated over the (Re; Im) stacking."""
+    stacked = tuple(np.concatenate([w, w]) for w in _weights(n_chips))
+    for w in stacked:
+        w.setflags(write=False)
+    return stacked
 
 
 def _mags2(v: np.ndarray, n: int) -> np.ndarray:
@@ -134,13 +131,13 @@ def objective(a1, a2, n_chips: int) -> float:
     """
     a1, a2 = _check_stacked(a1, a2, n_chips)
     phi_hat_r = real_coupling_matrices(n_chips).phi_hat_r
-    w_alpha2, w_beta2 = _weights(n_chips)
+    w_alpha, w_beta = _weights(n_chips)
     b1 = phi_hat_r @ a1
     b2 = phi_hat_r @ a2
     n = n_chips
     return float(
-        np.sum(w_alpha2[:n] * _mags2(a1, n) * _mags2(a2, n))
-        + np.sum(w_beta2[:n] * _mags2(b1, n) * _mags2(b2, n))
+        np.sum(w_alpha * _mags2(a1, n) * _mags2(a2, n))
+        + np.sum(w_beta * _mags2(b1, n) * _mags2(b2, n))
     )
 
 
@@ -153,7 +150,7 @@ def objective_gradient(a1, a2, n_chips: int) -> tuple[np.ndarray, np.ndarray]:
     """
     a1, a2 = _check_stacked(a1, a2, n_chips)
     phi_hat_r = real_coupling_matrices(n_chips).phi_hat_r
-    w_alpha2, w_beta2 = _weights(n_chips)
+    w_alpha2, w_beta2 = _stacked_weights(n_chips)
     n = n_chips
     b1 = phi_hat_r @ a1
     b2 = phi_hat_r @ a2
@@ -212,6 +209,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if self.kkt_tolerance <= 0 or self.constraint_tolerance <= 0 or self.ftol <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -351,122 +350,12 @@ def _solve_reduced(z0: np.ndarray, n_chips: int, cfg: SolverConfig) -> SolveRepo
     return _report_from_stacked(z, n_chips, result.nit, converged, status, kkt, trace)
 
 
-def _solve_full(z0_reduced: np.ndarray, n_chips: int, cfg: SolverConfig) -> SolveReport:
-    """Validation mode: beta' kept as variables under explicit linear coupling."""
-    half = 2 * n_chips
-    phi_hat_r = real_coupling_matrices(n_chips).phi_hat_r
-    w_alpha2, w_beta2 = _weights(n_chips)
-    n = n_chips
-
-    def split(u):
-        return u[:half], u[half : 2 * half], u[2 * half : 3 * half], u[3 * half :]
-
-    def fun(u):
-        a1, a2, b1, b2 = split(u)
-        return float(
-            np.sum(w_alpha2[:n] * _mags2(a1, n) * _mags2(a2, n))
-            + np.sum(w_beta2[:n] * _mags2(b1, n) * _mags2(b2, n))
-        )
-
-    def jac(u):
-        a1, a2, b1, b2 = split(u)
-        p, q = _mags2(a1, n), _mags2(a2, n)
-        r, t = _mags2(b1, n), _mags2(b2, n)
-        return np.concatenate([
-            2.0 * (w_alpha2 * np.concatenate([q, q])) * a1,
-            2.0 * (w_alpha2 * np.concatenate([p, p])) * a2,
-            2.0 * (w_beta2 * np.concatenate([t, t])) * b1,
-            2.0 * (w_beta2 * np.concatenate([r, r])) * b2,
-        ])
-
-    def coupling(u):
-        a1, a2, b1, b2 = split(u)
-        return np.concatenate([b1 - phi_hat_r @ a1, b2 - phi_hat_r @ a2])
-
-    coupling_jac = np.zeros((2 * half, 4 * half))
-    coupling_jac[:half, :half] = -phi_hat_r
-    coupling_jac[:half, 2 * half : 3 * half] = np.eye(half)
-    coupling_jac[half:, half : 2 * half] = -phi_hat_r
-    coupling_jac[half:, 3 * half :] = np.eye(half)
-
-    # beta norm constraints are linearly dependent on (coupling, alpha norms)
-    # at feasible points and would make the QP subproblem rank-deficient;
-    # they hold automatically by orthogonality and are measured via e1
-    def norms(u):
-        a1, a2, _, _ = split(u)
-        return np.array([a1 @ a1 - n, a2 @ a2 - n])
-
-    def norms_jac(u):
-        a1, a2, _, _ = split(u)
-        out = np.zeros((2, 4 * half))
-        out[0, :half] = 2.0 * a1
-        out[1, half : 2 * half] = 2.0 * a2
-        return out
-
-    constraints = [
-        {"type": "eq", "fun": coupling, "jac": lambda u: coupling_jac},
-        {"type": "eq", "fun": norms, "jac": norms_jac},
-    ]
-    a10, a20 = z0_reduced[:half], z0_reduced[half:]
-    u0 = np.concatenate([a10, a20, phi_hat_r @ a10, phi_hat_r @ a20])
-    trace = [float(fun(u0))]
-    result = minimize(
-        fun,
-        u0,
-        jac=jac,
-        method="SLSQP",
-        constraints=constraints,
-        callback=lambda u: trace.append(float(fun(u))),
-        options={"maxiter": cfg.max_iterations, "ftol": cfg.ftol},
-    )
-    u = result.x
-    a1, a2, b1, b2 = split(u)
-    coeffs = [
-        SpectralCoeffs(alpha=complexify(a1), beta=complexify(b1)),
-        SpectralCoeffs(alpha=complexify(a2), beta=complexify(b2)),
-    ]
-    e1, e2 = feasibility_errors(coeffs)
-    grad_u = jac(u)
-    jac_all = np.vstack([coupling_jac, norms_jac(u)])
-    lam, *_ = np.linalg.lstsq(jac_all.T, grad_u, rcond=None)
-    kkt = float(np.max(np.abs(grad_u - jac_all.T @ lam)))
-    violation = max(float(np.max(np.abs(coupling(u)))), float(np.max(np.abs(norms(u)))))
-    converged = kkt <= cfg.kkt_tolerance and violation <= cfg.constraint_tolerance
-    status = "converged" if converged else (
-        f"stopped without reaching tolerances: {result.message} (kkt={kkt:.2e})"
-    )
-    seqs = [
-        ChipSequence(reconstruct(c, "alpha"), label=f"optimized(N={n},user={k + 1})")
-        for k, c in enumerate(coeffs)
-    ]
-    value = float(np.sum(s_m_terms(decompose(seqs[0].entries), decompose(seqs[1].entries))))
-    return SolveReport(
-        n_chips=n,
-        best_alpha=[a1.copy(), a2.copy()],
-        best_coeffs=coeffs,
-        best_sequences=seqs,
-        objective=value,
-        snr=_snr_from_objective(value, n),
-        e1=e1,
-        e2=e2,
-        iterations=result.nit,
-        restart_snrs=[_snr_from_objective(value, n)],
-        restart_converged=[converged],
-        converged=converged,
-        status=status,
-        kkt_residual=kkt,
-        objective_trace=trace,
-        restart_errors=[(e1, e2)],
-    )
-
-
 _INITIAL_FEASIBILITY_TOL = 1e-10
 
 
 def solve_local(
     initial: Sequence[SpectralCoeffs],
     cfg: SolverConfig,
-    full_variables: bool = False,
 ) -> SolveReport:
     """One local solve from a feasible two-user starting point.
 
@@ -487,8 +376,6 @@ def solve_local(
             "start from random_feasible_point or an equivalent"
         )
     z0 = np.concatenate([realify(initial[0].alpha), realify(initial[1].alpha)])
-    if full_variables:
-        return _solve_full(z0, n_chips, cfg)
     return _solve_reduced(z0, n_chips, cfg)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import BitWindow, CdmaConfig, partial_sum_table
+from .interference import BitWindow, CdmaConfig, _check_user_set, partial_sum_table
 from .spectral import sequence_entries
 
 __all__ = ["MonteCarloDraw", "SimulationEstimate", "interference_sample", "estimate_snr"]
@@ -85,16 +85,13 @@ def interference_sample(cfg: CdmaConfig, s_i, s_k, draw: MonteCarloDraw) -> floa
     return float(value[0])
 
 
-def _block_sums(tables, k_index, block, n_draws, cfg, seed, zero_phase):
+def _block_sums(tables, k_index, block, n_draws, cfg, seed):
     """(sum, sum of squares) of per-trial values for one (interferer, block)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, k_index, block)))
     tau = rng.uniform(0.0, cfg.symbol_duration, n_draws)
-    psi = rng.uniform(0.0, 2.0 * np.pi, n_draws)
+    rng.uniform(0.0, 2.0 * np.pi, n_draws)  # phase psi: drawn, but |I~|^2 is phase-free
     b_prev = rng.integers(0, 2, n_draws) * 2.0 - 1.0
     b_cur = rng.integers(0, 2, n_draws) * 2.0 - 1.0
-    if zero_phase:
-        psi = np.zeros_like(psi)
-    del psi  # the magnitude-squared receiver statistic is phase-free
     x, y = tables[k_index]
     values = _sample_values(x, y, tau, b_prev, b_cur, cfg.chip_duration, cfg.n_chips)
     return float(np.sum(values)), float(np.dot(values, values))
@@ -107,7 +104,6 @@ def estimate_snr(
     trials: int,
     seed: int,
     threads: int = 1,
-    zero_phase: bool = False,
 ) -> SimulationEstimate:
     """Monte Carlo estimate of user i's interference variance and SNR.
 
@@ -115,21 +111,11 @@ def estimate_snr(
     with independent draws per interferer; the reported standard error is the
     sample standard deviation of the per-trial values over sqrt(trials).
     The SNR estimate plugs the estimated variance into
-    sqrt(Var_D / (Var_I + N0*T/4)) with Var_D = P*T^2/2.  ``zero_phase``
-    forces the (unused) phase draws to zero; the estimate must not change.
+    sqrt(Var_D / (Var_I + N0*T/4)) with Var_D = P*T^2/2.
     """
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    if len(sequences) != cfg.n_users:
-        raise ValueError(
-            f"expected {cfg.n_users} sequences for this configuration, got {len(sequences)}"
-        )
-    if not 1 <= i <= cfg.n_users:
-        raise ValueError(f"user index {i} out of range 1..{cfg.n_users}")
-    entries = [sequence_entries(s) for s in sequences]
-    for e in entries:
-        if e.shape[0] != cfg.n_chips:
-            raise ValueError("sequence length does not match cfg.n_chips")
+    entries = _check_user_set(cfg, sequences, i)
 
     interferers = [k for k in range(1, cfg.n_users + 1) if k != i]
     seed = int(seed) % 2**64
@@ -153,7 +139,7 @@ def estimate_snr(
 
     def run(job):
         k, b, n_draws = job
-        return _block_sums(tables, k, b, n_draws, cfg, seed, zero_phase)
+        return _block_sums(tables, k, b, n_draws, cfg, seed)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -111,6 +111,18 @@ def _basis_matrix(n_chips: int, half_shift: bool) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=None)
+def _phase_tables(n_chips: int) -> tuple[np.ndarray, np.ndarray]:
+    """lam[l, m-1] = exp(-2 pi j l m/N) and the half-bin shifted variant, l = 0..N."""
+    l = np.arange(n_chips + 1)[:, None]
+    m = np.arange(1, n_chips + 1)[None, :]
+    lam = np.exp(-2j * np.pi * l * m / n_chips)
+    lam_hat = np.exp(-2j * np.pi * l * (m / n_chips + 1.0 / (2 * n_chips)))
+    lam.setflags(write=False)
+    lam_hat.setflags(write=False)
+    return lam, lam_hat
+
+
 def decompose(s) -> SpectralCoeffs:
     """Project a sequence onto both bases.
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -119,6 +120,23 @@ class TestEvaluate:
         code, _, _ = run(capsys, "evaluate", str(gold), "--users", "1,5")
         assert code == 1
 
+    def test_csv_row_matches_scatter_row(self, tmp_path, capsys):
+        gold, _, _ = make_pair_files(tmp_path)
+        eval_csv = tmp_path / "evaluate.csv"
+        scatter_csv = tmp_path / "scatter.csv"
+        assert main(["evaluate", str(gold), "--users", "1,2", "--csv", str(eval_csv)]) == 0
+        assert main(["scatter", str(gold), "--out", str(scatter_csv)]) == 0
+        with open(eval_csv, newline="") as fh:
+            eval_rows = list(csv.reader(fh))
+        with open(scatter_csv, newline="") as fh:
+            scatter_rows = list(csv.reader(fh))
+        assert eval_rows[0] == scatter_rows[0]
+        assert len(eval_rows) == len(scatter_rows) == 2
+        eval_row, scatter_row = eval_rows[1], scatter_rows[1]
+        assert eval_row[0] == "gold(degree=5,index=2)+gold(degree=5,index=3)"
+        assert scatter_row[0] == "gold"
+        assert eval_row[1:] == scatter_row[1:]
+
 
 class TestOptimize:
     def test_run_is_reproducible_and_consistent(self, tmp_path, capsys):
@@ -156,6 +174,19 @@ class TestOptimize:
         assert main(base + ["--threads", "2", "--out", str(out_b)]) == 0
         for name in ("sequences.json", "report.json", "restart_snrs.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("max_iter", ["0", "-5"])
+    def test_invalid_max_iter_is_usage_error(self, tmp_path, capsys, max_iter):
+        code, _, stderr = run(capsys, "optimize", "--n", "8", "--restarts", "1",
+                              "--max-iter", max_iter, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "max_iterations" in stderr
+
+    def test_negative_threads_is_usage_error(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "optimize", "--n", "8", "--restarts", "1",
+                              "--threads", "-3", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "--threads" in stderr
 
     def test_zero_convergences_exit_code(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "optimize", "--n", "16", "--restarts", "1",
@@ -214,6 +245,14 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", str(gold), "--users", "1,2",
                          "--trials", "10", "--seed", "1")
         assert code == 1
+
+    def test_negative_threads_is_usage_error(self, tmp_path, capsys):
+        gold, _, _ = make_pair_files(tmp_path)
+        capsys.readouterr()
+        code, _, stderr = run(capsys, "simulate", str(gold), "--users", "1,2",
+                              "--trials", "200", "--threads", "-3")
+        assert code == 1
+        assert "--threads" in stderr
 
 
 class TestScatter:

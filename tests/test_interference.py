@@ -13,6 +13,8 @@ from spreadopt.interference import (
     snr,
     spectral_phases,
 )
+from spreadopt.sequences import gold_pair
+from spreadopt.simulator import estimate_snr
 from spreadopt.spectral import SpectralCoeffs, decompose
 
 
@@ -169,6 +171,39 @@ class TestVarianceEquivalence:
             interference_variance_direct(cfg, pair, 3)
         with pytest.raises(ValueError):
             interference_variance_direct(cfg, pair, 0)
+
+
+def _estimate(cfg, sequences, i):
+    return estimate_snr(cfg, sequences, i, trials=100, seed=0)
+
+
+class TestUserSetValidation:
+    """Every route that takes a user set checks it the same way."""
+
+    ROUTES = [interference_variance_direct, interference_variance_spectral, snr, _estimate]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_wrong_length_chip_sequences_rejected(self, route):
+        cfg = CdmaConfig(n_chips=127, n_users=2)
+        with pytest.raises(ValueError, match="does not match cfg.n_chips"):
+            route(cfg, list(gold_pair(5)), 1)
+
+    @pytest.mark.parametrize("route", [interference_variance_spectral, snr])
+    def test_wrong_length_coefficients_rejected(self, route):
+        cfg = CdmaConfig(n_chips=127, n_users=2)
+        with pytest.raises(ValueError, match="does not match cfg.n_chips"):
+            route(cfg, [decompose(s) for s in gold_pair(5)], 1)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_wrong_user_count_rejected(self, route):
+        cfg = CdmaConfig(n_chips=31, n_users=3)
+        with pytest.raises(ValueError, match="expected 3 sequences"):
+            route(cfg, list(gold_pair(5)), 1)
+
+    def test_chip_sequences_and_coefficients_agree(self):
+        cfg = CdmaConfig(n_chips=31, n_users=2)
+        pair = gold_pair(5)
+        assert snr(cfg, [decompose(s) for s in pair], 1) == snr(cfg, pair, 1)
 
 
 class TestSmTerms:

@@ -212,15 +212,17 @@ class TestSolveLocal:
         with pytest.raises(ValueError):
             solve_local(random_feasible_point(8, 3, 1), SolverConfig())
 
-    def test_full_variable_mode_matches_reduced(self):
-        cfg = SolverConfig(seed=0)
-        start = random_feasible_point(4, 2, 11)
-        reduced = solve_local(start, cfg)
-        full = solve_local(start, cfg, full_variables=True)
-        assert full.converged
-        assert full.e1 <= 1e-8
-        assert full.e2 <= 1e-8  # measured literally, not zero by construction
-        assert full.objective == pytest.approx(reduced.objective, rel=1e-4)
+    def test_emitted_sequences_satisfy_coupling_literally(self):
+        # the report's e2 is 0 by construction (beta = phi_hat' alpha); here the
+        # coupling is measured on the chip sequences the solver emits, through
+        # decompose, which projects onto both bases and never uses phi_hat
+        report = solve_local(random_feasible_point(8, 2, 42), SolverConfig(seed=1))
+        assert report.converged
+        phi_hat = coupling_matrices(8).phi_hat
+        for seq, coeffs in zip(report.best_sequences, report.best_coeffs):
+            emitted = decompose(seq)
+            assert np.max(np.abs(emitted.beta - phi_hat @ emitted.alpha)) <= 1e-12
+            assert np.max(np.abs(emitted.beta - coeffs.beta)) <= 1e-12
 
 
 class TestSolveMultistart:
@@ -267,3 +269,7 @@ class TestSolverConfig:
             SolverConfig(restarts=0)
         with pytest.raises(ValueError):
             SolverConfig(kkt_tolerance=0.0)
+        for max_iterations in (0, -5):
+            with pytest.raises(ValueError, match="max_iterations"):
+                SolverConfig(max_iterations=max_iterations)
+        assert SolverConfig(max_iterations=1).max_iterations == 1
