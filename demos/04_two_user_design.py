@@ -1,6 +1,6 @@
 """Design a two-user sequence pair at N=31 and compare against the baselines.
 
-Runs a small multi-restart solve (8 restarts; a couple of seconds each on one
+Runs a small multi-restart solve (8 restarts; a few milliseconds each on one
 core), then prints the best pair's SNR next to the Gold, FZC and single-tone
 pairs.  Even a handful of restarts lands far above every classical baseline:
 the solver drives the interference functional to the numerical floor, where

@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from spreadopt.cli import main, read_sequence_set, write_sequence_set
+from spreadopt.optimizer import restart_seed
 from spreadopt.sequences import gold_pair
 
 
@@ -146,7 +150,7 @@ class TestOptimize:
         out_b = tmp_path / "b"
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
-        for name in ("sequences.json", "report.json", "restart_snrs.csv"):
+        for name in ("sequences.json", "report.json", "restart_snrs.csv", "restarts.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
         report = json.loads((out_a / "report.json").read_text())
@@ -172,8 +176,32 @@ class TestOptimize:
         out_b = tmp_path / "t2"
         assert main(base + ["--threads", "1", "--out", str(out_a)]) == 0
         assert main(base + ["--threads", "2", "--out", str(out_b)]) == 0
-        for name in ("sequences.json", "report.json", "restart_snrs.csv"):
+        for name in ("sequences.json", "report.json", "restart_snrs.csv", "restarts.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_restarts_csv_describes_every_restart(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["optimize", "--n", "8", "--restarts", "3", "--seed", "7",
+                     "--threads", "1", "--out", str(out)]) == 0
+        with open(out / "restarts.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["index", "seed", "iterations", "objective", "kkt",
+                                 "e1", "e2", "converged", "status"]
+        assert [int(r["index"]) for r in rows] == [1, 2, 3]
+        assert [int(r["seed"]) for r in rows] == [restart_seed(7, t) for t in (1, 2, 3)]
+        report = json.loads((out / "report.json").read_text())
+        assert sum(int(r["converged"]) for r in rows) == report["restarts_converged"]
+        snrs = (out / "restart_snrs.csv").read_text().splitlines()[1:]
+        for row, snr_text in zip(rows, snrs, strict=True):
+            assert int(row["iterations"]) >= 1
+            objective = float(row["objective"])
+            assert float(snr_text) == (objective / (6 * 8**2)) ** -0.5
+            if row["converged"] == "1":
+                assert row["status"] == "converged"
+                assert float(row["kkt"]) <= 1e-9
+                assert float(row["e1"]) <= 1e-8 and float(row["e2"]) <= 1e-8
+        best = [r for r in rows if float(r["objective"]) == report["objective"]]
+        assert int(best[0]["iterations"]) == report["iterations"]
 
     @pytest.mark.parametrize("max_iter", ["0", "-5"])
     def test_invalid_max_iter_is_usage_error(self, tmp_path, capsys, max_iter):
@@ -318,3 +346,14 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "optimize", "--n", "8")[0] == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # the solver needs only numpy; importing scipy.optimize used to dominate
+    # the start-up time of every command
+    src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, spreadopt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

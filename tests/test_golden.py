@@ -1,17 +1,17 @@
 """Golden outputs: CLI bytes pinned across commits.
 
 Each case runs a CLI command on deterministic inputs and compares what it
-prints, byte for byte, with a fixture under ``tests/data/golden``.
+prints or writes, byte for byte, with fixtures under ``tests/data/golden``.
 A change that is meant to keep every number (a refactor, a deduplication)
 must leave all of them untouched.  A change that is meant to move numbers
 regenerates the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in its description.  ``optimize`` is not pinned here: its
-iterates depend on the BLAS thread count (at N = 8 one OpenBLAS thread and the
-default thread count give different sequences.json, report.json and
-restart_snrs.csv), so its bytes are a property of the host, not of the code.
+and says why in its description.  The ``optimize`` case pins the files of an
+N = 8 design run.  Its solver forms no matrix-matrix product wider than 2N,
+and its bytes are the same with one OpenBLAS thread and with the default
+thread count.
 """
 
 import contextlib
@@ -24,6 +24,8 @@ import pytest
 from spreadopt.cli import main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
+
+OPTIMIZE_FILES = ("sequences.json", "report.json", "restart_snrs.csv", "restarts.csv")
 
 
 def _stdout_of(argv) -> bytes:
@@ -42,31 +44,36 @@ def _inputs(workdir):
     return gold, fzc
 
 
-def _case_output(case, workdir) -> bytes:
-    """Stdout of one golden case; its fixture is ``<case>.json``."""
+def _case_outputs(case, workdir) -> dict[str, bytes]:
+    """Fixture file name -> bytes for one golden case."""
     gold, fzc = _inputs(workdir)
     if case == "evaluate_gold":
-        return _stdout_of(["evaluate", gold, "--users", "1,2"])
+        return {f"{case}.json": _stdout_of(["evaluate", gold, "--users", "1,2"])}
     if case == "evaluate_fzc127":
-        return _stdout_of(["evaluate", fzc, "--users", "1,2"])
+        return {f"{case}.json": _stdout_of(["evaluate", fzc, "--users", "1,2"])}
     if case == "simulate_gold":
-        return _stdout_of(["simulate", gold, "--users", "1,2", "--threads", "1",
-                           "--trials", "20000", "--seed", "123"])
+        return {f"{case}.json": _stdout_of(["simulate", gold, "--users", "1,2", "--threads", "1",
+                                            "--trials", "20000", "--seed", "123"])}
+    if case == "optimize_n8":
+        out = os.path.join(workdir, "run")
+        _stdout_of(["optimize", "--n", "8", "--restarts", "4", "--seed", "99",
+                    "--threads", "1", "--out", out])
+        outputs = {}
+        for name in OPTIMIZE_FILES:
+            with open(os.path.join(out, name), "rb") as fh:
+                outputs[f"{case}_{name}"] = fh.read()
+        return outputs
     raise ValueError(f"unknown golden case {case!r}")
 
 
-CASES = ("evaluate_gold", "evaluate_fzc127", "simulate_gold")
-
-
-def _fixture(case) -> str:
-    return os.path.join(GOLDEN_DIR, f"{case}.json")
+CASES = ("evaluate_gold", "evaluate_fzc127", "simulate_gold", "optimize_n8")
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_cli_output_matches_golden(case, tmp_path):
-    with open(_fixture(case), "rb") as fh:
-        expected = fh.read()
-    assert _case_output(case, str(tmp_path)) == expected
+    for name, data in _case_outputs(case, str(tmp_path)).items():
+        with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+            assert data == fh.read(), name
 
 
 def _regenerate():
@@ -75,10 +82,12 @@ def _regenerate():
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for case in CASES:
         with tempfile.TemporaryDirectory() as workdir:
-            data = _case_output(case, workdir)
-        with open(_fixture(case), "wb") as fh:
-            fh.write(data)
-        print(f"wrote {_fixture(case)}", file=sys.stderr)
+            outputs = _case_outputs(case, workdir)
+        for name, data in outputs.items():
+            path = os.path.join(GOLDEN_DIR, name)
+            with open(path, "wb") as fh:
+                fh.write(data)
+            print(f"wrote {path}", file=sys.stderr)
 
 
 if __name__ == "__main__":

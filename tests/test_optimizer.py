@@ -4,6 +4,9 @@ import pytest
 from spreadopt.interference import s_m_terms
 from spreadopt.optimizer import (
     SolverConfig,
+    _block_minimizer,
+    _euclidean_hessian,
+    _kkt_residual_reduced,
     complexify,
     feasibility_errors,
     objective,
@@ -15,7 +18,7 @@ from spreadopt.optimizer import (
     solve_multistart,
 )
 from spreadopt.sequences import random_feasible_point
-from spreadopt.spectral import SpectralCoeffs, coupling_matrices, decompose
+from spreadopt.spectral import SpectralCoeffs, coeffs_from_alpha, coupling_matrices, decompose
 
 
 def random_unit_modulus(n, rng):
@@ -223,6 +226,83 @@ class TestSolveLocal:
             emitted = decompose(seq)
             assert np.max(np.abs(emitted.beta - phi_hat @ emitted.alpha)) <= 1e-12
             assert np.max(np.abs(emitted.beta - coeffs.beta)) <= 1e-12
+
+
+class TestEuclideanHessian:
+    @pytest.mark.parametrize("n", [4, 8, 31])
+    def test_matches_central_differences_of_gradient(self, n):
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal(4 * n)
+        h = 1e-6
+        fd = np.empty((4 * n, 4 * n))
+        for i in range(4 * n):
+            up, down = z.copy(), z.copy()
+            up[i] += h
+            down[i] -= h
+            g_up = np.concatenate(objective_gradient(up[:2 * n], up[2 * n:], n))
+            g_down = np.concatenate(objective_gradient(down[:2 * n], down[2 * n:], n))
+            fd[:, i] = (g_up - g_down) / (2 * h)
+        hess = _euclidean_hessian(z, n)
+        scale = np.max(np.abs(fd))
+        assert np.max(np.abs(hess - hess.T)) <= 1e-14 * scale
+        assert np.max(np.abs(hess - fd)) <= 1e-6 * scale
+
+
+class TestBlockMinimization:
+    @pytest.mark.parametrize("n", [8, 31])
+    def test_block_step_is_exact_minimizer(self, n):
+        rng = np.random.default_rng(100 + n)
+        other = random_feasible_point(n, 1, 11)[0].alpha
+        best = _block_minimizer(other, n)
+        assert np.vdot(best, best).real == pytest.approx(n, rel=1e-14)
+        top = best[np.argmax(np.abs(best))]
+        assert top.real > 0.0 and abs(top.imag) <= 1e-15 * top.real
+        value = objective(realify(best), realify(other), n)
+        for _ in range(100):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            x *= np.sqrt(n) / np.linalg.norm(x)
+            assert objective(realify(x), realify(other), n) >= value
+
+    @pytest.mark.parametrize("n", [16, 31])
+    def test_objective_trace_does_not_increase(self, n):
+        # each sweep is an exact block minimization and each accepted Newton
+        # step decreases the objective, up to roundoff: a sweep by the
+        # eigensolver's backward error, N eps ||H|| with ||H|| <= 3N, and a
+        # Newton step by the ratio test's regularization, 1e3 eps max(1, f).
+        # Both show only at the floor, where the objective sits near 1e-15
+        eps = np.finfo(float).eps
+        for t in range(1, 11):
+            report = solve_local(random_feasible_point(n, 2, restart_seed(n, t)), SolverConfig())
+            assert report.converged
+            trace = report.objective_trace
+            assert len(trace) == report.iterations + 1
+            for a, b in zip(trace, trace[1:]):
+                assert b <= a + (3 * n**2 + 1e3 * max(1.0, a)) * eps
+
+    def test_sweeps_alone_plateau_and_the_polish_converges(self):
+        # at N = 8 alternating sweeps crawl along a valley: the KKT residual
+        # stalls near 6e-7 and creeps upwards for hundreds of sweeps
+        n = 8
+        a2 = random_feasible_point(n, 2, restart_seed(99, 2))[1].alpha
+        history = []
+        for _ in range(200):
+            a1 = _block_minimizer(a2, n)
+            a2 = _block_minimizer(a1, n)
+            history.append(_kkt_residual_reduced(
+                np.concatenate([realify(a1), realify(a2)]), n))
+        assert min(history[20:]) > 1e-7
+        plateau = [coeffs_from_alpha(a1), coeffs_from_alpha(a2)]
+        report = solve_local(plateau, SolverConfig())
+        assert report.converged
+        assert report.kkt_residual <= 1e-9
+        assert report.objective < report.objective_trace[0]
+
+    def test_converged_start_returns_after_one_sweep(self):
+        report = solve_local(random_feasible_point(8, 2, 4), SolverConfig())
+        assert report.converged
+        again = solve_local(report.best_coeffs, SolverConfig())
+        assert again.converged
+        assert again.iterations == 1
 
 
 class TestSolveMultistart:
