@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralCoeffs, _phase_tables, decompose, sequence_entries
+from .spectral import SpectralCoeffs, decompose, sequence_entries
 
 __all__ = [
     "CdmaConfig",
@@ -122,9 +122,13 @@ def shift_matrix(l: int, bits: BitWindow, n_chips: int) -> np.ndarray:
 
 
 def spectral_phases(l: int, n_chips: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-modulus phase factors (lambda, lambda_hat) over m = 1..N at shift l."""
-    lam, lam_hat = _phase_tables(n_chips)
-    return lam[l], lam_hat[l]
+    """Unit-modulus phase factors (lambda, lambda_hat) over m = 1..N at shift l = 0..N."""
+    if not 0 <= l <= n_chips:
+        raise ValueError(f"shift l={l} out of range 0..{n_chips}")
+    m = np.arange(1, n_chips + 1)
+    lam = np.exp(-2j * np.pi * l * m / n_chips)
+    lam_hat = np.exp(-2j * np.pi * l * (m / n_chips + 1.0 / (2 * n_chips)))
+    return lam, lam_hat
 
 
 def partial_sum_table(s_i, s_k) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,15 @@ correlations of two sequences u, v at integer shift l are the weighted sums
 
 In the time domain these equal, respectively, the circular correlation
 sum_n conj(s_u[n+l]) s_v[n] with periodic index wrap, and the same sum with
-negacyclic wrap (entries wrapped past the end flip sign); the identification
-is verified by brute force in the test suite for N <= 8 and frozen here.
+negacyclic wrap (entries wrapped past the end flip sign); the test suite
+checks the identification by brute force, lag by lag.
+
+Both profiles are DFTs over m: with frequency m in bin m-1 (see
+``spectral``), theta(l) = exp(-2 pi j l/N) fft(conj(alpha^u) alpha^v)[l] and
+theta_hat(l) = exp(-2 pi j l (1/N + 1/(2N))) fft(conj(beta^u) beta^v)[l].
+``correlation_peaks`` evaluates every shift of every auto and cross pair in
+one batched FFT; ``periodic_correlation`` and ``aperiodic_correlation``
+evaluate the definitions at a single shift.
 
 Peak statistics over a set of K sequences:
 
@@ -31,7 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import SpectralCoeffs, _phase_tables
+from .interference import spectral_phases
+from .spectral import SpectralCoeffs
 
 __all__ = [
     "CorrelationPeaks",
@@ -81,7 +89,7 @@ def periodic_correlation(c_u: SpectralCoeffs, c_v: SpectralCoeffs, l: int) -> co
         raise ValueError("coefficient vectors must have equal length")
     n = c_u.n_chips
     _check_shift(l, n)
-    lam = _phase_tables(n)[0][l]
+    lam = spectral_phases(l, n)[0]
     return complex(np.sum(lam * np.conj(c_u.alpha) * c_v.alpha))
 
 
@@ -91,19 +99,21 @@ def aperiodic_correlation(c_u: SpectralCoeffs, c_v: SpectralCoeffs, l: int) -> c
         raise ValueError("coefficient vectors must have equal length")
     n = c_u.n_chips
     _check_shift(l, n)
-    lam_hat = _phase_tables(n)[1][l]
+    lam_hat = spectral_phases(l, n)[1]
     return complex(np.sum(lam_hat * np.conj(c_u.beta) * c_v.beta))
 
 
-def _profiles(c_u: SpectralCoeffs, c_v: SpectralCoeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Both correlations at every shift l = 0..N-1 at once."""
-    n = c_u.n_chips
-    lam, lam_hat = _phase_tables(n)
-    prod_a = np.conj(c_u.alpha) * c_v.alpha
-    prod_b = np.conj(c_u.beta) * c_v.beta
-    theta = lam[:n] @ prod_a
-    theta_hat = lam_hat[:n] @ prod_b
-    return theta, theta_hat
+def _profile_magnitudes(pairs) -> np.ndarray:
+    """|theta| and |theta_hat| at every shift l = 0..N-1, one row per pair (c_u, c_v).
+
+    One batched FFT; the unit-modulus factor in front of each bin (see the
+    module docstring) leaves the magnitudes unchanged and is not applied.
+    """
+    prods = np.array([
+        [np.conj(c_u.alpha) * c_v.alpha for c_u, c_v in pairs],
+        [np.conj(c_u.beta) * c_v.beta for c_u, c_v in pairs],
+    ])
+    return np.abs(np.fft.fft(prods))
 
 
 def correlation_peaks(coeff_set: Sequence[SpectralCoeffs]) -> CorrelationPeaks:
@@ -111,27 +121,17 @@ def correlation_peaks(coeff_set: Sequence[SpectralCoeffs]) -> CorrelationPeaks:
     if len(coeff_set) < 1:
         raise ValueError("need at least one sequence")
     n = coeff_set[0].n_chips
-    theta_a = 0.0
-    theta_hat_a = 0.0
-    for c in coeff_set:
-        if c.n_chips != n:
-            raise ValueError("all sequences in a set must share n_chips")
-        theta, theta_hat = _profiles(c, c)
-        theta_a = max(theta_a, float(np.max(np.abs(theta[1:]))))
-        theta_hat_a = max(theta_hat_a, float(np.max(np.abs(theta_hat[1:]))))
-    theta_c = 0.0
-    theta_hat_c = 0.0
-    has_cross = len(coeff_set) >= 2
-    for a in range(len(coeff_set)):
-        for b in range(a + 1, len(coeff_set)):
-            theta, theta_hat = _profiles(coeff_set[a], coeff_set[b])
-            theta_c = max(theta_c, float(np.max(np.abs(theta))))
-            theta_hat_c = max(theta_hat_c, float(np.max(np.abs(theta_hat))))
+    if any(c.n_chips != n for c in coeff_set):
+        raise ValueError("all sequences in a set must share n_chips")
+    k = len(coeff_set)
+    crosses = [(coeff_set[a], coeff_set[b]) for a in range(k) for b in range(a + 1, k)]
+    theta, theta_hat = _profile_magnitudes([(c, c) for c in coeff_set] + crosses)
+    has_cross = k >= 2
     return CorrelationPeaks(
-        theta_a=theta_a,
-        theta_c=theta_c,
-        theta_hat_a=theta_hat_a,
-        theta_hat_c=theta_hat_c,
+        theta_a=float(np.max(theta[:k, 1:])),
+        theta_c=float(np.max(theta[k:])) if has_cross else 0.0,
+        theta_hat_a=float(np.max(theta_hat[:k, 1:])),
+        theta_hat_c=float(np.max(theta_hat[k:])) if has_cross else 0.0,
         has_cross=has_cross,
     )
 

@@ -29,11 +29,13 @@ the last iterate.  The multi-restart driver draws an independent feasible
 starting point per restart (streams derived from the master seed) and keeps
 the best-SNR converged result.
 
-No matrix-matrix product is wider than 2N and no eigen-decomposition wider
-than 4N.  With OpenBLAS, a 4N-wide product at N = 31 rounds differently with
-one thread and with several; the products and decompositions used here were
-found identical, so the iterates at N = 8 and 31 do not depend on the BLAS
-thread count.
+Each restart runs with numpy's bundled OpenBLAS pinned to one thread (the
+previous count is restored afterwards).  Multi-threaded OpenBLAS rounds the
+2N- and 4N-wide products and decompositions differently from one thread (at
+N = 62, for example), and on small hosts its threads can stall; pinned, the
+iterates and every output byte are the same whatever the host's core count
+or OPENBLAS_NUM_THREADS.  No matrix-matrix product is wider than 2N and no
+eigen-decomposition wider than 4N.
 
 The reported beta is phi_hat' a', the same real matvec that the coupling
 error e2 measures, so a report's e2 is 0 by construction.  The coupling is
@@ -41,7 +43,11 @@ checked independently by decomposing the emitted chip sequences, whose beta
 must match both phi_hat alpha and the reported beta to roundoff.
 """
 
+import contextlib
+import ctypes
+import glob
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -546,10 +552,47 @@ def restart_seed(master_seed: int, restart_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+@lru_cache(maxsize=None)
+def _openblas():
+    """Thread-count getter and setter of numpy's bundled scipy-openblas, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the count.
+
+    A no-op where numpy does not bundle scipy-openblas.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def _run_restart(args) -> SolveReport:
     n_chips, cfg, index = args
     start = random_feasible_point(n_chips, 2, restart_seed(cfg.seed, index))
-    return solve_local(start, cfg)
+    with _one_blas_thread():
+        return solve_local(start, cfg)
 
 
 _PER_RESTART = (

@@ -26,6 +26,14 @@ beta = phi_hat @ alpha and alpha = phi @ beta, with closed-form entries
 The half-bin offset keeps every denominator away from zero.  Indices m, n are
 1-based in the formulas above; arrays returned by this module store index m
 at position m-1.
+
+Both maps are DFTs, which ``decompose`` and ``reconstruct`` evaluate in
+O(N log N) with no N x N table.  As w_m(eta)[n] = w_1(eta)[n] exp(2 pi j n
+(m-1)/N) for 0-based n, demodulating by w_1 puts frequency m in DFT bin m-1.  With the unitary
+(1/sqrt(N)) DFT, alpha = fft(s conj(w_1(0))), beta = fft(s conj(w_1(1/(2N))))
+and s = ifft(alpha) w_1(0) = ifft(beta) w_1(1/(2N)).  (Bin k of the plain
+fft(s) holds m = k for k >= 1 and m = N for k = 0.)
+``basis_vector`` evaluates the definition directly and is the reference.
 """
 
 from dataclasses import dataclass
@@ -101,26 +109,12 @@ def basis_vector(m: int, eta: float, n_chips: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _basis_matrix(n_chips: int, half_shift: bool) -> np.ndarray:
-    """Rows are w_m(eta) for m = 1..N, eta = 0 or 1/(2N)."""
-    eta = 1.0 / (2 * n_chips) if half_shift else 0.0
-    m = np.arange(1, n_chips + 1)[:, None]
-    n = np.arange(n_chips)[None, :]
-    w = np.exp(2j * np.pi * n * (m / n_chips + eta))
-    w.setflags(write=False)
-    return w
-
-
-@lru_cache(maxsize=None)
-def _phase_tables(n_chips: int) -> tuple[np.ndarray, np.ndarray]:
-    """lam[l, m-1] = exp(-2 pi j l m/N) and the half-bin shifted variant, l = 0..N."""
-    l = np.arange(n_chips + 1)[:, None]
-    m = np.arange(1, n_chips + 1)[None, :]
-    lam = np.exp(-2j * np.pi * l * m / n_chips)
-    lam_hat = np.exp(-2j * np.pi * l * (m / n_chips + 1.0 / (2 * n_chips)))
-    lam.setflags(write=False)
-    lam_hat.setflags(write=False)
-    return lam, lam_hat
+def _demodulation(n_chips: int) -> np.ndarray:
+    """Rows conj(w_1(0)) and conj(w_1(1/(2N))): exp(-2 pi j n (1/N + eta)), n = 0..N-1."""
+    eta = np.array([[0.0], [1.0 / (2 * n_chips)]])
+    rows = np.exp(-2j * np.pi * np.arange(n_chips) * (1.0 / n_chips + eta))
+    rows.setflags(write=False)
+    return rows
 
 
 def decompose(s) -> SpectralCoeffs:
@@ -133,9 +127,7 @@ def decompose(s) -> SpectralCoeffs:
     n_chips = entries.shape[0]
     if n_chips < 2:
         raise ValueError("sequence length must be at least 2")
-    scale = 1.0 / np.sqrt(n_chips)
-    alpha = scale * (_basis_matrix(n_chips, False).conj() @ entries)
-    beta = scale * (_basis_matrix(n_chips, True).conj() @ entries)
+    alpha, beta = np.fft.fft(entries * _demodulation(n_chips), norm="ortho")
     return SpectralCoeffs(alpha=alpha, beta=beta)
 
 
@@ -146,13 +138,13 @@ def reconstruct(coeffs: SpectralCoeffs, basis: str = "alpha") -> np.ndarray:
     satisfy beta = phi_hat @ alpha both choices agree to roundoff.
     """
     if basis == "alpha":
-        c, half = coeffs.alpha, False
+        c, row = coeffs.alpha, 0
     elif basis == "beta":
-        c, half = coeffs.beta, True
+        c, row = coeffs.beta, 1
     else:
         raise ValueError("basis must be 'alpha' or 'beta'")
     n_chips = coeffs.n_chips
-    return (_basis_matrix(n_chips, half).T @ c) / np.sqrt(n_chips)
+    return np.fft.ifft(c, norm="ortho") * np.conj(_demodulation(n_chips)[row])
 
 
 @lru_cache(maxsize=None)

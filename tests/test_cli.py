@@ -4,13 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spreadopt.cli import main, read_sequence_set, write_sequence_set
+from spreadopt.interference import CdmaConfig, interference_variance_direct
 from spreadopt.optimizer import restart_seed
-from spreadopt.sequences import gold_pair
+from spreadopt.sequences import ChipSequence, gold_pair
+from test_metrics import brute_force_peaks
 
 
 def run(capsys, *argv):
@@ -142,6 +145,31 @@ class TestEvaluate:
         assert eval_row[1:] == scatter_row[1:]
 
 
+    def test_long_code_pair(self, tmp_path, capsys):
+        # the spectral core keeps no per-N table: at N = 4095 the dense N x N
+        # basis and phase tables it replaced would need about 1 GB
+        n = 4095
+        rng = np.random.default_rng(4095)
+        pair = [rng.choice([-1.0, 1.0], size=n).astype(complex) for _ in range(2)]
+        path = tmp_path / "long.json"
+        write_sequence_set(str(path), [ChipSequence(s, label=f"random-{k}")
+                                       for k, s in enumerate(pair, start=1)])
+        tracemalloc.start()
+        try:
+            code, stdout, _ = run(capsys, "evaluate", str(path), "--users", "1,2")
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak_bytes < 16 * 2**20
+        payload = json.loads(stdout)
+        var_i = interference_variance_direct(CdmaConfig(n_chips=n, n_users=2), pair, 1)
+        assert payload["interference_variance"][0] == pytest.approx(var_i, rel=1e-9)
+        assert payload["snr"][0] == pytest.approx(math.sqrt(0.5 / var_i), rel=1e-9)
+        got = [payload["peaks"][k] for k in ("theta_a", "theta_c", "theta_hat_a", "theta_hat_c")]
+        assert got == pytest.approx(brute_force_peaks(pair), abs=1e-12 * n)
+
+
 class TestOptimize:
     def test_run_is_reproducible_and_consistent(self, tmp_path, capsys):
         args = ["optimize", "--n", "8", "--restarts", "3", "--seed", "7",
@@ -178,6 +206,24 @@ class TestOptimize:
         assert main(base + ["--threads", "2", "--out", str(out_b)]) == 0
         for name in ("sequences.json", "report.json", "restart_snrs.csv", "restarts.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_openblas_thread_count_does_not_change_outputs(self, tmp_path):
+        # at N = 62 multi-threaded OpenBLAS rounds the solver's 124- and
+        # 248-wide products and eigen-decompositions differently from one
+        # thread; each restart pins it to one
+        src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        outs = []
+        for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+            outs.append(tmp_path / f"run{len(outs)}")
+            subprocess.run([sys.executable, "-m", "spreadopt.cli", "optimize", "--n", "62",
+                            "--restarts", "6", "--seed", "3", "--threads", "1",
+                            "--out", str(outs[-1])],
+                           env={**env, **extra}, capture_output=True, check=True)
+        for name in ("sequences.json", "report.json", "restart_snrs.csv", "restarts.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_restarts_csv_describes_every_restart(self, tmp_path):
         out = tmp_path / "run"

@@ -9,9 +9,8 @@ regenerates the fixtures with
     PYTHONPATH=src python tests/test_golden.py
 
 and says why in its description.  The ``optimize`` case pins the files of an
-N = 8 design run.  Its solver forms no matrix-matrix product wider than 2N,
-and its bytes are the same with one OpenBLAS thread and with the default
-thread count.
+N = 8 design run; each restart runs with OpenBLAS pinned to one thread, so
+its bytes do not depend on the thread count.
 """
 
 import contextlib

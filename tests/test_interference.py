@@ -247,6 +247,11 @@ class TestSpectralPhases:
         assert np.allclose(np.abs(lam), 1.0, atol=1e-14)
         assert np.allclose(np.abs(lam_hat), 1.0, atol=1e-14)
 
+    @pytest.mark.parametrize("l", [-1, 10])
+    def test_shift_out_of_range(self, l):
+        with pytest.raises(ValueError):
+            spectral_phases(l, 9)
+
 
 class TestSnr:
     def test_noise_only(self):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,24 @@ def negacyclic_oracle(s_u, s_v, l):
     idx = (np.arange(n) + l) % n
     sign = np.where(np.arange(n) + l >= n, -1.0, 1.0)
     return np.sum(sign * np.conj(s_u[idx]) * s_v)
+
+
+def brute_force_peaks(seqs):
+    """(theta_a, theta_c, theta_hat_a, theta_hat_c) from the oracles, lag by lag.
+
+    Cross peaks run over every ordered pair u != v and every shift, auto
+    peaks over every user and the nonzero shifts.
+    """
+    n = len(seqs[0])
+    peaks = [0.0, 0.0, 0.0, 0.0]
+    for u, s_u in enumerate(seqs):
+        for v, s_v in enumerate(seqs):
+            lags = range(1, n) if u == v else range(n)
+            slot = 0 if u == v else 1
+            for l in lags:
+                peaks[slot] = max(peaks[slot], abs(circular_oracle(s_u, s_v, l)))
+                peaks[slot + 2] = max(peaks[slot + 2], abs(negacyclic_oracle(s_u, s_v, l)))
+    return tuple(peaks)
 
 
 class TestPeriodicCorrelation:
@@ -127,6 +147,27 @@ class TestCorrelationPeaks:
         three = correlation_peaks(coeffs)
         assert three.theta_c >= two.theta_c
         assert three.theta_hat_c >= two.theta_hat_c
+
+    @pytest.mark.parametrize("n", [31, 127, 1023])
+    def test_matches_time_domain_brute_force(self, n):
+        rng = np.random.default_rng(200 + n)
+        seqs = [random_unit_modulus(n, rng) for _ in range(2)]
+        peaks = correlation_peaks([decompose(s) for s in seqs])
+        got = (peaks.theta_a, peaks.theta_c, peaks.theta_hat_a, peaks.theta_hat_c)
+        assert np.max(np.abs(np.subtract(got, brute_force_peaks(seqs)))) < 1e-12 * n
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_multi_user_set_matches_per_pair_brute_force(self, k):
+        # users of distinct power, in every order: the largest auto and cross
+        # peaks then visit every row of the batched auto/cross stack
+        rng = np.random.default_rng(k)
+        n = 31
+        seqs = [(u + 1) * random_unit_modulus(n, rng) for u in range(k)]
+        expected = brute_force_peaks(seqs)
+        for order in itertools.permutations(range(k)):
+            peaks = correlation_peaks([decompose(seqs[u]) for u in order])
+            got = (peaks.theta_a, peaks.theta_c, peaks.theta_hat_a, peaks.theta_hat_c)
+            assert np.max(np.abs(np.subtract(got, expected))) < 1e-12 * n * k**2
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):

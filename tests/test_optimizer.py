@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from spreadopt import optimizer
 from spreadopt.interference import s_m_terms
 from spreadopt.optimizer import (
     SolverConfig,
     _block_minimizer,
+    _openblas,
     _euclidean_hessian,
     _kkt_residual_reduced,
     complexify,
@@ -324,6 +326,28 @@ class TestSolveMultistart:
             assert a.snr == other.snr
             assert np.array_equal(a.best_alpha[0], other.best_alpha[0])
             assert np.array_equal(a.best_alpha[1], other.best_alpha[1])
+
+    def test_restarts_pin_one_blas_thread_and_restore_the_count(self, monkeypatch):
+        blas = _openblas()
+        if blas is None:
+            pytest.skip("numpy bundles no scipy-openblas here")
+        get, set_ = blas
+        original = get()
+        seen = []
+
+        def recording_solve_local(initial, cfg):
+            seen.append(get())
+            return solve_local(initial, cfg)
+
+        monkeypatch.setattr(optimizer, "solve_local", recording_solve_local)
+        try:
+            set_(2)
+            found = get()
+            solve_multistart(8, SolverConfig(restarts=2, seed=17), threads=1)
+            assert get() == found
+        finally:
+            set_(original)
+        assert seen == [1, 1]
 
     def test_best_of_converged_selected(self):
         cfg = SolverConfig(restarts=4, seed=23)

@@ -44,7 +44,25 @@ class TestBasisVector:
             assert np.max(np.abs(gram - n * np.eye(n))) < 1e-9 * n
 
 
+def decompose_by_definition(s):
+    """alpha_m = <w_m(0), s>/sqrt(N), beta_m = <w_m(1/(2N)), s>/sqrt(N), m = 1..N."""
+    n = len(s)
+    return [
+        np.array([np.vdot(basis_vector(m, eta, n), s) for m in range(1, n + 1)]) / np.sqrt(n)
+        for eta in (0.0, 1.0 / (2 * n))
+    ]
+
+
 class TestDecompose:
+    @pytest.mark.parametrize("n", [*range(2, 17), 31, 127, 1023])
+    def test_matches_basis_inner_products(self, n):
+        rng = np.random.default_rng(1000 + n)
+        s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c = decompose(s)
+        alpha, beta = decompose_by_definition(s)
+        assert np.max(np.abs(c.alpha - alpha)) < 1e-12 * np.sqrt(n)
+        assert np.max(np.abs(c.beta - beta)) < 1e-12 * np.sqrt(n)
+
     def test_single_basis_vector(self):
         alpha = decompose(basis_vector(1, 0.0, 4)).alpha
         assert np.allclose(alpha, [2, 0, 0, 0], atol=1e-13)
@@ -55,7 +73,7 @@ class TestDecompose:
 
     def test_round_trip_both_bases(self):
         rng = np.random.default_rng(1)
-        for n in (2, 3, 8, 31):
+        for n in (2, 3, 8, 31, 1023):
             s = random_unit_modulus(n, rng)
             c = decompose(s)
             assert np.max(np.abs(reconstruct(c, "alpha") - s)) < 1e-12
