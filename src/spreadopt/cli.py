@@ -8,15 +8,20 @@ flags, seed, version, timestamp) is written next to file outputs; timestamps
 never appear inside the structured outputs themselves.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numerical failure.
+
+``main`` may be called repeatedly in one process; it builds its argument
+parser once per process and reuses it on every call.
 """
 
 import argparse
 import csv
 import ctypes
 import datetime
+import itertools
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .spectral import decompose
 __all__ = ["main", "read_sequence_set", "write_sequence_set"]
 
 FORMAT_VERSION = 1
+_JSON_NUMBERS = frozenset((int, float))
 
 # default physical parameters: P and T cancel in the noiseless SNR
 DEFAULT_POWER = 1.0
@@ -82,14 +88,17 @@ def read_sequence_set(path: str) -> list[ChipSequence]:
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read sequence set {path!r}: {exc}") from exc
     try:
-        if payload["format_version"] != FORMAT_VERSION:
-            raise CliError(
-                f"unsupported format_version {payload['format_version']} in {path!r}"
-            )
+        # JSON true/false decode to bool, which == and complex() take as 1 and 0
+        version = payload["format_version"]
+        if isinstance(version, bool) or version != FORMAT_VERSION:
+            raise CliError(f"unsupported format_version {version} in {path!r}")
         n_chips = int(payload["n_chips"])
         sequences = []
         for item in payload["sequences"]:
-            entries = np.array([complex(re, im) for re, im in item["entries"]])
+            rows = item["entries"]
+            if not set(map(type, itertools.chain.from_iterable(rows))) <= _JSON_NUMBERS:
+                raise CliError(f"malformed sequence set {path!r}: entries must be JSON numbers")
+            entries = np.array([complex(re, im) for re, im in rows])
             if entries.shape[0] != n_chips:
                 raise CliError(f"sequence length mismatch in {path!r}")
             if not np.all(np.isfinite(entries.view(float))):
@@ -426,6 +435,7 @@ def cmd_scatter(args) -> int:
 # parser
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     parser = _Parser(prog="spreadopt", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"spreadopt {__version__}")

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spreadopt import __version__, cli
 from spreadopt.cli import main, read_sequence_set, write_sequence_set
 from spreadopt.interference import CdmaConfig, interference_variance_direct
 from spreadopt.optimizer import restart_seed
@@ -90,6 +91,20 @@ class TestSequenceSetFile:
         code, _, stderr = run(capsys, "evaluate", str(bad), "--users", "1")
         assert code == 1
         assert "malformed" in stderr or "cannot read" in stderr
+
+    @pytest.mark.parametrize("version, entries", [
+        (1, [[True, False], [False, True]]),
+        (1, [[1.0, 0.0], [0.0, False]]),
+        (True, [[1.0, 0.0], [0.0, 1.0]]),
+    ], ids=["boolean-entries", "one-boolean-component", "boolean-format-version"])
+    def test_json_booleans_rejected(self, tmp_path, capsys, version, entries):
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps({"format_version": version, "n_chips": 2,
+                                   "sequences": [{"label": "b", "entries": entries}]}))
+        code, stdout, stderr = run(capsys, "evaluate", str(bad), "--users", "1")
+        assert code == 1
+        assert stdout == ""
+        assert "malformed" in stderr or "format_version" in stderr
 
 
 class TestEvaluate:
@@ -392,6 +407,57 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "optimize", "--n", "8")[0] == 1
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process; no call may leak into the next."""
+
+    def test_omitted_flag_takes_its_default(self, tmp_path):
+        base = ["optimize", "--n", "8", "--restarts", "2", "--seed", "5", "--threads", "1"]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(base + ["--max-iter", "7", "--out", str(out_a)]) in (0, 2)
+        assert main(base + ["--out", str(out_b)]) == 0
+        flags_a = json.loads((out_a / "manifest.json").read_text())["flags"]
+        flags_b = json.loads((out_b / "manifest.json").read_text())["flags"]
+        assert flags_a["max_iter"] == 7
+        assert flags_b["max_iter"] == 5000
+        assert {k: v for k, v in flags_a.items() if k not in ("max_iter", "out")} == {
+            k: v for k, v in flags_b.items() if k not in ("max_iter", "out")}
+
+    def test_usage_errors_leave_no_state(self, tmp_path, capsys):
+        gold, _, _ = make_pair_files(tmp_path)
+        argv = ["evaluate", str(gold), "--users", "1,2"]
+        capsys.readouterr()
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        for bad in ([], ["frobnicate"]):
+            assert run(capsys, *bad)[0] == 1
+            assert run(capsys, *argv) == first
+
+    def test_version_twice(self, capsys):
+        lines = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            lines.append(capsys.readouterr().out)
+        assert lines == [f"spreadopt {__version__}\n"] * 2
+
+    def test_parser_tree_built_once(self, tmp_path, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        out = tmp_path / "tone.json"
+        assert main(["generate", "tone", "--n", "8", "--k", "1,2", "--out", str(out)]) == 0
+        assert main(["evaluate", str(out), "--users", "1,2"]) == 0
+        assert main(["frobnicate"]) == 1
+        assert built.count("spreadopt") <= 1
+        assert len(built) == len(set(built))
 
 
 def test_cli_import_loads_no_scipy():
