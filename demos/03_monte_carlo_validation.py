@@ -1,8 +1,9 @@
 """Monte Carlo check of the closed-form interference variance.
 
-For each baseline pair at N=31, draws 100000 random (delay, phase, bits)
-tuples, evaluates the receiver's squared interference term exactly per draw,
-and compares the sample mean against the analytic variance.  The z-scores
+For each baseline pair at N=31, draws 100000 random (delay, bits) tuples
+(the phase cancels and is skipped), evaluates the receiver's squared
+interference term exactly per draw, and compares the sample mean against
+the analytic variance.  The z-scores
 should sit comfortably inside +-3.
 
 Run:  python demos/03_monte_carlo_validation.py
@@ -42,6 +43,8 @@ for name, pair in pairs.items():
         f"{analytic:>12.6g} {z:>+7.2f} {est.snr_estimate:>9.4f} {reference:>9.4f}"
     )
 
-print("\nsame seed twice is bit-identical; the effective carrier phase is")
-print("drawn, to keep the random stream of a full receiver path, but it")
-print("cancels in the squared magnitude, so the estimate never reads it.")
+print("\nsame seed twice is bit-identical. The effective carrier phase cancels")
+print("in the squared magnitude, so its positions in the random stream are")
+print("skipped, not drawn: the delays and bits are those of a full receiver")
+print("path. Each trial reads its two partial sums from a four-row table, one")
+print("row per pair of data bits, built once per interferer.")

@@ -92,7 +92,9 @@ def read_sequence_set(path: str) -> list[ChipSequence]:
         version = payload["format_version"]
         if isinstance(version, bool) or version != FORMAT_VERSION:
             raise CliError(f"unsupported format_version {version} in {path!r}")
-        n_chips = int(payload["n_chips"])
+        n_chips = payload["n_chips"]
+        if type(n_chips) is not int:
+            raise CliError(f"malformed sequence set {path!r}: n_chips must be a JSON integer")
         sequences = []
         for item in payload["sequences"]:
             rows = item["entries"]

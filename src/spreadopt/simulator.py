@@ -8,9 +8,12 @@ interference integral is, in closed form,
 
     |I~|^2 = | (tau - l*Tc) * A_l  +  ((l+1)*Tc - tau) * A_{l+1} |^2,
 
-where A_l = s_i^* B(l; b_prev, b_cur) s_k.  The phase psi cancels in the
-magnitude; it is drawn anyway so a full receiver-output path consumes the
-same random stream.  Averaging (P/4) * |I~|^2 over draws estimates the
+where A_l = s_i^* B(l; b_prev, b_cur) s_k = b_prev*x[l] + b_cur*y[l].  Only
+four bit pairs exist, so A is tabulated once per interferer as four rows, one
+per pair, and a trial gathers its A_l and A_{l+1} from its pair's row.  The
+phase psi cancels in the magnitude: its positions in the random stream are
+skipped, not drawn, so the delays and bits are those a full receiver-output
+path would draw.  Averaging (P/4) * |I~|^2 over draws estimates the
 interference variance, to be compared against the closed-form value.
 
 Determinism contract: results are a pure function of (inputs, seed, trials).
@@ -55,11 +58,25 @@ class SimulationEstimate:
     unbounded: bool = False
 
 
-def _sample_values(x, y, tau, b_prev, b_cur, chip_duration, n_chips):
-    """Vectorized |I~|^2 for arrays of draws, given the partial-sum tables."""
+def _bit_table(x, y):
+    """(4, N+1) table whose row 2*[b_prev > 0] + [b_cur > 0] is b_prev*x + b_cur*y.
+
+    Each entry takes the same IEEE operations as combining the bits per trial,
+    so a gather from the table is bit-identical to that combination.
+    """
+    return np.stack([bp * x + bc * y for bp in (-1.0, 1.0) for bc in (-1.0, 1.0)])
+
+
+def _sample_values(table, offset, tau, chip_duration, n_chips):
+    """Vectorized |I~|^2 for arrays of draws.
+
+    table is a flat array of rows b_prev*x + b_cur*y, each N+1 long; a draw
+    reads its delay's two entries from the row that starts at its offset.
+    """
     l = np.minimum((tau / chip_duration).astype(int), n_chips - 1)
-    a_lo = b_prev * x[l] + b_cur * y[l]
-    a_hi = b_prev * x[l + 1] + b_cur * y[l + 1]
+    idx = offset + l
+    a_lo = table[idx]
+    a_hi = table[idx + 1]
     w_lo = tau - l * chip_duration
     w_hi = (l + 1) * chip_duration - tau
     return np.abs(w_lo * a_lo + w_hi * a_hi) ** 2
@@ -78,10 +95,8 @@ def interference_sample(cfg: CdmaConfig, s_i, s_k, draw: MonteCarloDraw) -> floa
     if si.shape[0] != cfg.n_chips or sk.shape[0] != cfg.n_chips:
         raise ValueError("sequence length does not match cfg.n_chips")
     x, y = partial_sum_table(si, sk)
-    value = _sample_values(
-        x, y, np.asarray([draw.tau]), draw.bits.b_prev, draw.bits.b_cur,
-        cfg.chip_duration, cfg.n_chips,
-    )
+    row = draw.bits.b_prev * x + draw.bits.b_cur * y
+    value = _sample_values(row, 0, np.asarray([draw.tau]), cfg.chip_duration, cfg.n_chips)
     return float(value[0])
 
 
@@ -89,11 +104,13 @@ def _block_sums(tables, k_index, block, n_draws, cfg, seed):
     """(sum, sum of squares) of per-trial values for one (interferer, block)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, k_index, block)))
     tau = rng.uniform(0.0, cfg.symbol_duration, n_draws)
-    rng.uniform(0.0, 2.0 * np.pi, n_draws)  # phase psi: drawn, but |I~|^2 is phase-free
-    b_prev = rng.integers(0, 2, n_draws) * 2.0 - 1.0
-    b_cur = rng.integers(0, 2, n_draws) * 2.0 - 1.0
-    x, y = tables[k_index]
-    values = _sample_values(x, y, tau, b_prev, b_cur, cfg.chip_duration, cfg.n_chips)
+    # the phase psi takes one 64-bit output per draw; |I~|^2 is phase-free,
+    # so its stream positions are skipped rather than drawn
+    rng.bit_generator.advance(n_draws)
+    bits = rng.integers(0, 2, (2, n_draws))
+    offset = (2 * bits[0] + bits[1]) * (cfg.n_chips + 1)  # bit 1 is +1, bit 0 is -1
+    table = tables[k_index].ravel()
+    values = _sample_values(table, offset, tau, cfg.chip_duration, cfg.n_chips)
     return float(np.sum(values)), float(np.dot(values, values))
 
 
@@ -129,7 +146,9 @@ def estimate_snr(
             return SimulationEstimate(0.0, 0.0, math.inf, trials, seed, unbounded=True)
         return SimulationEstimate(0.0, 0.0, math.sqrt(var_d / denom), trials, seed)
 
-    tables = {k: partial_sum_table(entries[i - 1], entries[k - 1]) for k in interferers}
+    tables = {
+        k: _bit_table(*partial_sum_table(entries[i - 1], entries[k - 1])) for k in interferers
+    }
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
     jobs = []
     for k in interferers:

@@ -106,6 +106,17 @@ class TestSequenceSetFile:
         assert stdout == ""
         assert "malformed" in stderr or "format_version" in stderr
 
+    @pytest.mark.parametrize("n_chips", ["2", 2.9, 2.0, True],
+                             ids=["string", "fraction", "integral-float", "boolean"])
+    def test_non_integer_n_chips_rejected(self, tmp_path, capsys, n_chips):
+        bad = tmp_path / "count.json"
+        bad.write_text(json.dumps({"format_version": 1, "n_chips": n_chips,
+                                   "sequences": [{"label": "b", "entries": [[1.0, 0.0], [0.0, 1.0]]}]}))
+        code, stdout, stderr = run(capsys, "evaluate", str(bad), "--users", "1")
+        assert code == 1
+        assert stdout == ""
+        assert "n_chips must be a JSON integer" in stderr
+
 
 class TestEvaluate:
     def test_gold_pair_peaks(self, tmp_path, capsys):

@@ -10,7 +10,8 @@ regenerates the fixtures with
 
 and says why in its description.  The ``optimize`` case pins the files of an
 N = 8 design run; each restart runs with OpenBLAS pinned to one thread, so
-its bytes do not depend on the thread count.
+its bytes do not depend on the thread count.  The ``simulate_gold3`` case
+has two interferers, a one-trial tail block and two worker threads.
 """
 
 import contextlib
@@ -53,6 +54,11 @@ def _case_outputs(case, workdir) -> dict[str, bytes]:
     if case == "simulate_gold":
         return {f"{case}.json": _stdout_of(["simulate", gold, "--users", "1,2", "--threads", "1",
                                             "--trials", "20000", "--seed", "123"])}
+    if case == "simulate_gold3":
+        gold3 = os.path.join(workdir, "gold3.json")
+        _stdout_of(["generate", "gold", "--degree", "5", "--indices", "2,3,4", "--out", gold3])
+        return {f"{case}.json": _stdout_of(["simulate", gold3, "--users", "1,2,3", "--threads", "2",
+                                            "--trials", "8193", "--seed", "7"])}
     if case == "optimize_n8":
         out = os.path.join(workdir, "run")
         _stdout_of(["optimize", "--n", "8", "--restarts", "4", "--seed", "99",
@@ -65,7 +71,7 @@ def _case_outputs(case, workdir) -> dict[str, bytes]:
     raise ValueError(f"unknown golden case {case!r}")
 
 
-CASES = ("evaluate_gold", "evaluate_fzc127", "simulate_gold", "optimize_n8")
+CASES = ("evaluate_gold", "evaluate_fzc127", "simulate_gold", "simulate_gold3", "optimize_n8")
 
 
 @pytest.mark.parametrize("case", CASES)

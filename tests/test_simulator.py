@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from spreadopt.interference import BitWindow, CdmaConfig, interference_variance_direct
+from spreadopt import simulator
+from spreadopt.interference import (
+    BitWindow,
+    CdmaConfig,
+    interference_variance_direct,
+    partial_sum_table,
+)
 from spreadopt.sequences import fzc_sequence, gold_pair, single_tone_sequence
 from spreadopt.simulator import MonteCarloDraw, estimate_snr, interference_sample
 
@@ -134,3 +140,45 @@ class TestEstimateSnr:
         pair = [np.ones(8, dtype=complex)] * 2
         with pytest.raises(ValueError):
             estimate_snr(cfg, pair, 1, trials=99, seed=0)
+
+
+def _reference_block_sums(x, y, k_index, block, n_draws, cfg, seed):
+    """The block kernel written out: psi drawn, bits combined per trial."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, k_index, block)))
+    tau = rng.uniform(0.0, cfg.symbol_duration, n_draws)
+    rng.uniform(0.0, 2.0 * np.pi, n_draws)
+    b_prev = rng.integers(0, 2, n_draws) * 2.0 - 1.0
+    b_cur = rng.integers(0, 2, n_draws) * 2.0 - 1.0
+    tc = cfg.chip_duration
+    l = np.minimum((tau / tc).astype(int), cfg.n_chips - 1)
+    a_lo = b_prev * x[l] + b_cur * y[l]
+    a_hi = b_prev * x[l + 1] + b_cur * y[l + 1]
+    values = np.abs((tau - l * tc) * a_lo + ((l + 1) * tc - tau) * a_hi) ** 2
+    return float(np.sum(values)), float(np.dot(values, values))
+
+
+class TestRandomStream:
+    """The block kernel keeps the stream of a path that draws every variable."""
+
+    @pytest.mark.parametrize("n", [5, 31, 127])
+    @pytest.mark.parametrize("n_draws", [8192, 3617, 1])
+    def test_block_sums_equal_reference_exactly(self, n, n_draws):
+        rng = np.random.default_rng(n)
+        s_i, s_k = random_unit_modulus(n, rng), random_unit_modulus(n, rng)
+        cfg = CdmaConfig(n_chips=n, n_users=3, symbol_duration=0.9)
+        x, y = partial_sum_table(s_i, s_k)
+        for seed, k, block in [(0, 2, 0), (123, 3, 1), (2**63 + 11, 2, 7)]:
+            sums = simulator._block_sums({k: simulator._bit_table(x, y)}, k, block,
+                                         n_draws, cfg, seed)
+            assert sums == _reference_block_sums(x, y, k, block, n_draws, cfg, seed)
+
+    @pytest.mark.parametrize("n_draws", [8192, 3617, 1])
+    def test_advance_skips_exactly_the_phase_draw(self, n_draws):
+        drawn = np.random.default_rng(np.random.SeedSequence((5, 2, 1)))
+        skipped = np.random.default_rng(np.random.SeedSequence((5, 2, 1)))
+        tau = drawn.uniform(0.0, 1.0, n_draws)
+        drawn.uniform(0.0, 2.0 * np.pi, n_draws)
+        assert np.array_equal(skipped.uniform(0.0, 1.0, n_draws), tau)
+        skipped.bit_generator.advance(n_draws)
+        expected = np.stack([drawn.integers(0, 2, n_draws), drawn.integers(0, 2, n_draws)])
+        assert np.array_equal(skipped.integers(0, 2, (2, n_draws)), expected)
