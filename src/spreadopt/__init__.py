@@ -6,6 +6,7 @@ spectral form, and minimizes that form over power-feasible sequence pairs
 with a multi-restart constrained solver.  Baseline families (Gold, FZC,
 single tones), correlation-peak metrics with the Sarwate trade-off bound, and
 a Monte Carlo oracle for the interference model round out the toolkit.
+The package namespace is the union of the modules' ``__all__``.
 
 Typical session:
 
@@ -19,117 +20,18 @@ Typical session:
     True
 """
 
-from .interference import (
-    BitWindow,
-    CdmaConfig,
-    SnrBreakdown,
-    gamma_integral,
-    interference_variance_direct,
-    interference_variance_spectral,
-    partial_sum_table,
-    partial_sums,
-    s_m_terms,
-    shift_matrix,
-    snr,
-    spectral_phases,
-)
-from .metrics import (
-    CorrelationPeaks,
-    SarwateReport,
-    aperiodic_correlation,
-    correlation_peaks,
-    periodic_correlation,
-    sarwate_check,
-)
-from .optimizer import (
-    RealCouplingMatrices,
-    SolveReport,
-    SolverConfig,
-    complexify,
-    feasibility_errors,
-    objective,
-    objective_gradient,
-    real_coupling_matrices,
-    realify,
-    restart_seed,
-    solve_local,
-    solve_multistart,
-)
-from .sequences import (
-    ChipSequence,
-    Lfsr,
-    fzc_sequence,
-    gold_family,
-    gold_pair,
-    random_feasible_point,
-    single_tone_sequence,
-)
-from .simulator import (
-    MonteCarloDraw,
-    SimulationEstimate,
-    estimate_snr,
-    interference_sample,
-)
-from .spectral import (
-    CouplingMatrices,
-    SpectralCoeffs,
-    basis_vector,
-    coeffs_from_alpha,
-    coupling_matrices,
-    decompose,
-    reconstruct,
-)
+from . import interference, metrics, optimizer, sequences, simulator, spectral
+from .interference import *
+from .metrics import *
+from .optimizer import *
+from .sequences import *
+from .simulator import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitWindow",
-    "CdmaConfig",
-    "ChipSequence",
-    "CorrelationPeaks",
-    "CouplingMatrices",
-    "Lfsr",
-    "MonteCarloDraw",
-    "RealCouplingMatrices",
-    "SarwateReport",
-    "SimulationEstimate",
-    "SnrBreakdown",
-    "SolveReport",
-    "SolverConfig",
-    "SpectralCoeffs",
-    "aperiodic_correlation",
-    "basis_vector",
-    "coeffs_from_alpha",
-    "complexify",
-    "correlation_peaks",
-    "coupling_matrices",
-    "decompose",
-    "estimate_snr",
-    "feasibility_errors",
-    "fzc_sequence",
-    "gamma_integral",
-    "gold_family",
-    "gold_pair",
-    "interference_sample",
-    "interference_variance_direct",
-    "interference_variance_spectral",
-    "objective",
-    "objective_gradient",
-    "partial_sum_table",
-    "partial_sums",
-    "periodic_correlation",
-    "random_feasible_point",
-    "real_coupling_matrices",
-    "realify",
-    "reconstruct",
-    "restart_seed",
-    "s_m_terms",
-    "sarwate_check",
-    "shift_matrix",
-    "single_tone_sequence",
-    "snr",
-    "solve_local",
-    "solve_multistart",
-    "spectral_phases",
-    "__version__",
-]
+# the package API is the union of the module APIs
+__all__ = sorted(
+    {name for module in (interference, metrics, optimizer, sequences, simulator, spectral)
+     for name in module.__all__}
+) + ["__version__"]

@@ -62,12 +62,25 @@ class _Parser(argparse.ArgumentParser):
 # sequence-set files
 
 
+def _write_json(path: str, payload, **options) -> None:
+    """Write payload as indented JSON plus a final newline; options go to json.dump."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, **options)
+        fh.write("\n")
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_sequence_set(path: str, sequences: list[ChipSequence]) -> None:
     """Serialize a sequence set; floats keep full round-trip precision."""
-    n_chips = sequences[0].n_chips
-    payload = {
+    _write_json(path, {
         "format_version": FORMAT_VERSION,
-        "n_chips": n_chips,
+        "n_chips": sequences[0].n_chips,
         "sequences": [
             {
                 "label": s.label,
@@ -75,10 +88,7 @@ def write_sequence_set(path: str, sequences: list[ChipSequence]) -> None:
             }
             for s in sequences
         ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 def read_sequence_set(path: str) -> list[ChipSequence]:
@@ -114,16 +124,13 @@ def read_sequence_set(path: str) -> list[ChipSequence]:
 
 
 def _write_manifest(directory: str, command: str, args: argparse.Namespace, seed) -> None:
-    manifest = {
+    _write_json(os.path.join(directory, "manifest.json"), {
         "command": command,
         "flags": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "seed": seed,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
-        fh.write("\n")
+    }, default=str)
 
 
 def _print_json(payload: dict) -> None:
@@ -146,13 +153,6 @@ def _csv_row(label: str, peaks, breakdown) -> list[str]:
         repr(peaks.theta_hat_a), repr(peaks.theta_hat_c),
         str(_snr_value(breakdown.unbounded, breakdown.snr)),
     ]
-
-
-def _write_csv(path: str, rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
 
 
 # glibc mallopt parameters (malloc.h)
@@ -197,13 +197,24 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _select_users(sequences, users: list[int]):
+def _user_set(args):
+    """(users, selected sequences, CdmaConfig) from the set_file, --users and physics flags."""
+    sequences = read_sequence_set(args.set_file)
+    users = _parse_int_list(args.users, "--users")
     for u in users:
         if not 1 <= u <= len(sequences):
             raise CliError(f"user {u} out of range 1..{len(sequences)}")
     if len(set(users)) != len(users):
         raise CliError("duplicate user indices")
-    return [sequences[u - 1] for u in users]
+    selected = [sequences[u - 1] for u in users]
+    cfg = CdmaConfig(
+        n_chips=selected[0].n_chips,
+        n_users=len(selected),
+        power=args.power,
+        symbol_duration=args.symbol_duration,
+        noise_density=args.noise,
+    )
+    return users, selected, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -233,27 +244,19 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_payload(sequences, users, power, symbol_duration, noise):
-    selected = _select_users(sequences, users)
-    n_chips = selected[0].n_chips
-    cfg = CdmaConfig(
-        n_chips=n_chips,
-        n_users=len(selected),
-        power=power,
-        symbol_duration=symbol_duration,
-        noise_density=noise,
-    )
+def cmd_evaluate(args) -> int:
+    users, selected, cfg = _user_set(args)
     coeffs = [decompose(s) for s in selected]
     breakdowns = [snr(cfg, coeffs, u) for u in range(1, len(selected) + 1)]
     peaks = correlation_peaks(coeffs)
     payload = {
         "command": "evaluate",
-        "n_chips": n_chips,
+        "n_chips": cfg.n_chips,
         "users": users,
         "labels": [s.label for s in selected],
-        "power": power,
-        "symbol_duration": symbol_duration,
-        "noise_density": noise,
+        "power": args.power,
+        "symbol_duration": args.symbol_duration,
+        "noise_density": args.noise,
         "snr": [_snr_value(b.unbounded, b.snr) for b in breakdowns],
         "interference_variance": [b.interference_variance for b in breakdowns],
         "noise_variance": breakdowns[0].noise_variance,
@@ -265,7 +268,7 @@ def _evaluate_payload(sequences, users, power, symbol_duration, noise):
         },
     }
     if len(selected) >= 2:
-        report = sarwate_check(peaks, n_chips, len(selected))
+        report = sarwate_check(peaks, cfg.n_chips, len(selected))
         payload["sarwate"] = {
             "lhs_periodic": report.lhs_periodic,
             "lhs_aperiodic": report.lhs_aperiodic,
@@ -274,18 +277,10 @@ def _evaluate_payload(sequences, users, power, symbol_duration, noise):
         }
     else:
         payload["sarwate"] = None
-    return payload, peaks, breakdowns
-
-
-def cmd_evaluate(args) -> int:
-    sequences = read_sequence_set(args.set_file)
-    users = _parse_int_list(args.users, "--users")
-    payload, peaks, breakdowns = _evaluate_payload(
-        sequences, users, args.power, args.symbol_duration, args.noise
-    )
     _print_json(payload)
     if args.csv:
-        _write_csv(args.csv, [_csv_row("+".join(payload["labels"]), peaks, breakdowns[0])])
+        row = _csv_row("+".join(payload["labels"]), peaks, breakdowns[0])
+        _write_csv(args.csv, CSV_HEADER, [row])
         _write_manifest(os.path.dirname(os.path.abspath(args.csv)), "evaluate", args, seed=None)
     return EXIT_OK
 
@@ -338,18 +333,10 @@ def cmd_optimize(args) -> int:
     report = solve_multistart(args.n, cfg, threads=_thread_count(args.threads))
     os.makedirs(args.out, exist_ok=True)
     write_sequence_set(os.path.join(args.out, "sequences.json"), report.best_sequences)
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
-        json.dump(_report_payload(report, args.seed), fh, indent=2)
-        fh.write("\n")
-    with open(os.path.join(args.out, "restart_snrs.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr"])
-        for value in report.restart_snrs:
-            writer.writerow([repr(value)])
-    with open(os.path.join(args.out, "restarts.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESTARTS_HEADER)
-        writer.writerows(_restart_rows(report))
+    _write_json(os.path.join(args.out, "report.json"), _report_payload(report, args.seed))
+    _write_csv(os.path.join(args.out, "restart_snrs.csv"), ["snr"],
+               [[repr(value)] for value in report.restart_snrs])
+    _write_csv(os.path.join(args.out, "restarts.csv"), RESTARTS_HEADER, _restart_rows(report))
     _write_manifest(args.out, "optimize", args, seed=args.seed)
     print(f"best snr: {report.snr}")
     print(f"e1: {report.e1}")
@@ -361,17 +348,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sequences = read_sequence_set(args.set_file)
-    users = _parse_int_list(args.users, "--users")
-    selected = _select_users(sequences, users)
-    n_chips = selected[0].n_chips
-    cfg = CdmaConfig(
-        n_chips=n_chips,
-        n_users=len(selected),
-        power=args.power,
-        symbol_duration=args.symbol_duration,
-        noise_density=args.noise,
-    )
+    users, selected, cfg = _user_set(args)
     if args.trials < 100:
         raise CliError("--trials must be at least 100")
     threads = _thread_count(args.threads)
@@ -386,7 +363,7 @@ def cmd_simulate(args) -> int:
         z = None
     payload = {
         "command": "simulate",
-        "n_chips": n_chips,
+        "n_chips": cfg.n_chips,
         "users": users,
         "labels": [s.label for s in selected],
         "trials": args.trials,
@@ -405,9 +382,7 @@ def cmd_simulate(args) -> int:
     _print_json(payload)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "simulate.json"), "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(os.path.join(args.out, "simulate.json"), payload)
         _write_manifest(args.out, "simulate", args, seed=args.seed)
     return EXIT_OK
 
@@ -427,7 +402,7 @@ def cmd_scatter(args) -> int:
         rows.append(_csv_row(os.path.splitext(os.path.basename(path))[0], peaks, breakdown))
     if not rows:
         raise CliError("no readable sequence sets")
-    _write_csv(args.out, rows)
+    _write_csv(args.out, CSV_HEADER, rows)
     _write_manifest(os.path.dirname(os.path.abspath(args.out)), "scatter", args, seed=None)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -464,17 +439,25 @@ def build_parser() -> _Parser:
         p.add_argument("--out", type=str, required=True, help="output sequence-set path")
 
     ev = sub.add_parser("evaluate", help="SNR, correlation peaks and Sarwate bound")
-    ev.add_argument("set_file", type=str)
-    ev.add_argument("--users", type=str, required=True,
-                    help="comma-separated 1-based user indices, e.g. 1,2")
-    ev.add_argument("--power", type=float, default=DEFAULT_POWER)
-    ev.add_argument("--symbol-duration", type=float, default=DEFAULT_SYMBOL_DURATION)
-    ev.add_argument("--noise", type=float, default=DEFAULT_NOISE,
-                    help="one-sided noise density N0")
+    opt = sub.add_parser("optimize", help="multi-restart two-user sequence design")
+    sim = sub.add_parser("simulate", help="Monte Carlo check of the interference model")
+    # the user-set flags; argparse lists flags in the order they are added, so
+    # simulate's --trials and --seed go between --users and --power as before
+    for p, users_help, noise_help, int_flags in (
+        (ev, "comma-separated 1-based user indices, e.g. 1,2", "one-sided noise density N0", {}),
+        (sim, None, None, {"--trials": 100000, "--seed": 0}),
+    ):
+        p.add_argument("set_file", type=str)
+        p.add_argument("--users", type=str, required=True, help=users_help)
+        for flag, default in int_flags.items():
+            p.add_argument(flag, type=int, default=default)
+        p.add_argument("--power", type=float, default=DEFAULT_POWER)
+        p.add_argument("--symbol-duration", type=float, default=DEFAULT_SYMBOL_DURATION)
+        p.add_argument("--noise", type=float, default=DEFAULT_NOISE, help=noise_help)
+
     ev.add_argument("--csv", type=str, default=None, help="also write a scatter-style CSV row")
     ev.set_defaults(func=cmd_evaluate)
 
-    opt = sub.add_parser("optimize", help="multi-restart two-user sequence design")
     opt.add_argument("--n", type=int, required=True, help="sequence length")
     opt.add_argument("--restarts", type=int, default=200)
     opt.add_argument("--seed", type=int, default=0)
@@ -486,14 +469,6 @@ def build_parser() -> _Parser:
     opt.add_argument("--out", type=str, required=True, help="output directory")
     opt.set_defaults(func=cmd_optimize)
 
-    sim = sub.add_parser("simulate", help="Monte Carlo check of the interference model")
-    sim.add_argument("set_file", type=str)
-    sim.add_argument("--users", type=str, required=True)
-    sim.add_argument("--trials", type=int, default=100000)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--power", type=float, default=DEFAULT_POWER)
-    sim.add_argument("--symbol-duration", type=float, default=DEFAULT_SYMBOL_DURATION)
-    sim.add_argument("--noise", type=float, default=DEFAULT_NOISE)
     sim.add_argument("--threads", type=int, default=None,
                      help="worker threads (default: machine parallelism)")
     sim.add_argument("--out", type=str, default=None, help="optional output directory")
@@ -512,10 +487,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:

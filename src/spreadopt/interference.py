@@ -80,6 +80,9 @@ class CdmaConfig:
             raise ValueError("symbol_duration must be positive")
         if self.noise_density < 0:
             raise ValueError("noise_density must be nonnegative")
+        for name in ("power", "symbol_duration", "noise_density"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def chip_duration(self) -> float:
@@ -205,17 +208,23 @@ def _check_user_set(cfg: CdmaConfig, sequences, i: int) -> list:
     return users
 
 
+def _bit_table(x, y):
+    """(4, N+1) table whose row 2*[b_prev > 0] + [b_cur > 0] is b_prev*x + b_cur*y.
+
+    Each entry takes the same IEEE operations as combining the bits per trial,
+    so a gather from the table is bit-identical to that combination.
+    """
+    return np.stack([bp * x + bc * y for bp in (-1.0, 1.0) for bc in (-1.0, 1.0)])
+
+
 def _pair_bit_average(si: np.ndarray, sk: np.ndarray) -> float:
     """E_bits{ sum_l (|A_l|^2 + |A_{l+1}|^2 + Re[A_l conj A_{l+1}]) } without Tc^3/3."""
-    x, y = partial_sum_table(si, sk)
     total = 0.0
-    for b_prev in (-1.0, 1.0):
-        for b_cur in (-1.0, 1.0):
-            a = b_prev * x + b_cur * y
-            lo, hi = a[:-1], a[1:]
-            total += 0.25 * float(
-                np.sum(np.abs(lo) ** 2 + np.abs(hi) ** 2 + (lo * np.conj(hi)).real)
-            )
+    for a in _bit_table(*partial_sum_table(si, sk)):
+        lo, hi = a[:-1], a[1:]
+        total += 0.25 * float(
+            np.sum(np.abs(lo) ** 2 + np.abs(hi) ** 2 + (lo * np.conj(hi)).real)
+        )
     return total
 
 
@@ -295,18 +304,11 @@ def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
     var_i = p * t**2 / (12.0 * cfg.n_chips**2) * s_sum
     var_n = n0 * t / 4.0
     denom = s_sum / (6.0 * cfg.n_chips**2) + n0 / (2.0 * p * t)
-    if denom == 0.0:
-        return SnrBreakdown(
-            interference_variance=var_i,
-            noise_variance=var_n,
-            snr=math.inf,
-            s_m_sum=s_sum,
-            unbounded=True,
-        )
+    unbounded = denom == 0.0
     return SnrBreakdown(
         interference_variance=var_i,
         noise_variance=var_n,
-        snr=denom**-0.5,
+        snr=math.inf if unbounded else denom**-0.5,
         s_m_sum=s_sum,
-        unbounded=False,
+        unbounded=unbounded,
     )

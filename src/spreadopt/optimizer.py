@@ -228,6 +228,8 @@ class SolverConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.kkt_tolerance <= 0 or self.constraint_tolerance <= 0:
             raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.kkt_tolerance) and math.isfinite(self.constraint_tolerance)):
+            raise ValueError("tolerances must be finite")
 
 
 @dataclass
@@ -240,7 +242,6 @@ class SolveReport:
     """
 
     n_chips: int
-    best_alpha: list[np.ndarray]
     best_coeffs: list[SpectralCoeffs]
     best_sequences: list[ChipSequence]
     objective: float
@@ -311,7 +312,6 @@ def _report_from_stacked(z, n_chips, iterations, converged, status, kkt, trace):
     e1, e2 = feasibility_errors(coeffs)
     return SolveReport(
         n_chips=n_chips,
-        best_alpha=alphas,
         best_coeffs=coeffs,
         best_sequences=seqs,
         objective=value,
@@ -470,19 +470,40 @@ def _polish_step(z: np.ndarray, value: float, radius: float, n_chips: int):
 # a sweep that shrinks the KKT residual by less than this factor ends stage 1
 _PLATEAU_RATIO = 0.9
 
+_INITIAL_FEASIBILITY_TOL = 1e-10
 
-def _solve_reduced(z0: np.ndarray, n_chips: int, cfg: SolverConfig) -> SolveReport:
-    """Exact alternating block minimization, then a trust-region Newton polish.
 
+def solve_local(
+    initial: Sequence[SpectralCoeffs],
+    cfg: SolverConfig,
+) -> SolveReport:
+    """One local solve from a feasible two-user starting point.
+
+    The starting point must satisfy e1, e2 <= 1e-10.  The solve runs exact
+    alternating block minimization, then a trust-region Newton polish.
     Stage 1 replaces each user in turn by its exact block minimizer.  Once a
     sweep stops shrinking the KKT residual, stage 2 takes Riemannian Newton
     steps on the product of spheres, safeguarded by a trust region on the
     objective and retracted by _project_spheres.  Convergence is measured
-    after every sweep or step.
+    after every sweep or step: the returned report is marked converged only
+    when the measured KKT residual and constraint violation meet cfg's
+    tolerances; otherwise the last iterate is returned with an explicit
+    non-converged status.
     """
+    if len(initial) != 2:
+        raise ValueError("the solver targets exactly two users")
+    n_chips = initial[0].n_chips
+    if initial[1].n_chips != n_chips:
+        raise ValueError("both users must share n_chips")
+    e1, e2 = feasibility_errors(initial)
+    if e1 > _INITIAL_FEASIBILITY_TOL or e2 > _INITIAL_FEASIBILITY_TOL:
+        raise ValueError(
+            f"initial point is infeasible (e1={e1:.2e}, e2={e2:.2e}); "
+            "start from random_feasible_point or an equivalent"
+        )
+    z = np.concatenate([realify(initial[0].alpha), realify(initial[1].alpha)])
     half = 2 * n_chips
-    z = z0
-    a2 = complexify(z0[half:])
+    a2 = complexify(z[half:])
     value = objective(z[:half], z[half:], n_chips)
     trace = [value]
     previous_kkt = math.inf
@@ -511,35 +532,6 @@ def _solve_reduced(z0: np.ndarray, n_chips: int, cfg: SolverConfig) -> SolveRepo
         previous_kkt = kkt
     converged = status == "converged"
     return _report_from_stacked(z, n_chips, iterations, converged, status, kkt, trace)
-
-
-_INITIAL_FEASIBILITY_TOL = 1e-10
-
-
-def solve_local(
-    initial: Sequence[SpectralCoeffs],
-    cfg: SolverConfig,
-) -> SolveReport:
-    """One local solve from a feasible two-user starting point.
-
-    The starting point must satisfy e1, e2 <= 1e-10.  The returned report is
-    marked converged only when the measured KKT residual and constraint
-    violation meet cfg's tolerances; otherwise the last iterate is returned
-    with an explicit non-converged status.
-    """
-    if len(initial) != 2:
-        raise ValueError("the solver targets exactly two users")
-    n_chips = initial[0].n_chips
-    if initial[1].n_chips != n_chips:
-        raise ValueError("both users must share n_chips")
-    e1, e2 = feasibility_errors(initial)
-    if e1 > _INITIAL_FEASIBILITY_TOL or e2 > _INITIAL_FEASIBILITY_TOL:
-        raise ValueError(
-            f"initial point is infeasible (e1={e1:.2e}, e2={e2:.2e}); "
-            "start from random_feasible_point or an equivalent"
-        )
-    z0 = np.concatenate([realify(initial[0].alpha), realify(initial[1].alpha)])
-    return _solve_reduced(z0, n_chips, cfg)
 
 
 def restart_seed(master_seed: int, restart_index: int) -> int:

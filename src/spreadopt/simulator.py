@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import BitWindow, CdmaConfig, _check_user_set, partial_sum_table
+from .interference import BitWindow, CdmaConfig, _bit_table, _check_user_set, partial_sum_table
 from .spectral import sequence_entries
 
 __all__ = ["MonteCarloDraw", "SimulationEstimate", "interference_sample", "estimate_snr"]
@@ -56,15 +56,6 @@ class SimulationEstimate:
     trials: int
     seed: int
     unbounded: bool = False
-
-
-def _bit_table(x, y):
-    """(4, N+1) table whose row 2*[b_prev > 0] + [b_cur > 0] is b_prev*x + b_cur*y.
-
-    Each entry takes the same IEEE operations as combining the bits per trial,
-    so a gather from the table is bit-identical to that combination.
-    """
-    return np.stack([bp * x + bc * y for bp in (-1.0, 1.0) for bc in (-1.0, 1.0)])
 
 
 def _sample_values(table, offset, tau, chip_duration, n_chips):
@@ -140,12 +131,6 @@ def estimate_snr(
     var_d = p * t**2 / 2.0
     noise_var = n0 * t / 4.0
 
-    if not interferers:
-        denom = noise_var
-        if denom == 0.0:
-            return SimulationEstimate(0.0, 0.0, math.inf, trials, seed, unbounded=True)
-        return SimulationEstimate(0.0, 0.0, math.sqrt(var_d / denom), trials, seed)
-
     tables = {
         k: _bit_table(*partial_sum_table(entries[i - 1], entries[k - 1])) for k in interferers
     }
@@ -169,7 +154,8 @@ def estimate_snr(
     # fixed-order compensated reduction: independent of worker assignment.
     # Draws are independent across interferers, so the variance of the
     # per-trial value (a sum over interferers) is the sum of the per-
-    # interferer variances.
+    # interferer variances.  With no interferers the sums are empty and the
+    # estimate is 0 with stderr 0.
     mean = 0.0
     var_of_value = 0.0
     for pos, _ in enumerate(interferers):
@@ -184,6 +170,6 @@ def estimate_snr(
     est = scale * mean
     stderr = scale * math.sqrt(var_of_value / trials)
     denom = est + noise_var
-    if denom <= 0.0:
-        return SimulationEstimate(est, stderr, math.inf, trials, seed, unbounded=True)
-    return SimulationEstimate(est, stderr, math.sqrt(var_d / denom), trials, seed)
+    unbounded = denom <= 0.0
+    snr_estimate = math.inf if unbounded else math.sqrt(var_d / denom)
+    return SimulationEstimate(est, stderr, snr_estimate, trials, seed, unbounded)

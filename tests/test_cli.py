@@ -416,6 +416,18 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 
+    def test_non_finite_parameters_rejected(self, tmp_path, capsys):
+        # json.dumps would print NaN or Infinity, which are not JSON
+        gold, _, _ = make_pair_files(tmp_path)
+        capsys.readouterr()
+        for argv in (["evaluate", str(gold), "--users", "1,2", "--power", "nan"],
+                     ["optimize", "--n", "8", "--restarts", "1", "--tol", "nan",
+                      "--out", str(tmp_path / "o")]):
+            code, stdout, stderr = run(capsys, *argv)
+            assert code == 1
+            assert stdout == ""
+            assert "must be finite" in stderr
+
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "optimize", "--n", "8")[0] == 1
 

@@ -11,7 +11,10 @@ regenerates the fixtures with
 and says why in its description.  The ``optimize`` case pins the files of an
 N = 8 design run; each restart runs with OpenBLAS pinned to one thread, so
 its bytes do not depend on the thread count.  The ``simulate_gold3`` case
-has two interferers, a one-trial tail block and two worker threads.
+has two interferers, a one-trial tail block and two worker threads.  The
+``generate``, ``evaluate_csv``, ``scatter`` and ``simulate_out`` cases pin
+the files each file-writing command leaves behind (manifests excepted: they
+carry a timestamp and absolute paths).
 """
 
 import contextlib
@@ -44,6 +47,17 @@ def _inputs(workdir):
     return gold, fzc
 
 
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _tone(workdir):
+    tone = os.path.join(workdir, "tone.json")
+    _stdout_of(["generate", "tone", "--n", "16", "--k", "1,5", "--out", tone])
+    return tone
+
+
 def _case_outputs(case, workdir) -> dict[str, bytes]:
     """Fixture file name -> bytes for one golden case."""
     gold, fzc = _inputs(workdir)
@@ -68,10 +82,32 @@ def _case_outputs(case, workdir) -> dict[str, bytes]:
             with open(os.path.join(out, name), "rb") as fh:
                 outputs[f"{case}_{name}"] = fh.read()
         return outputs
+    if case == "generate":
+        return {f"{case}_gold.json": _read(gold), f"{case}_fzc127.json": _read(fzc),
+                f"{case}_tone.json": _read(_tone(workdir))}
+    if case == "evaluate_csv":
+        csv_path = os.path.join(workdir, "evaluate.csv")
+        stdout = _stdout_of(["evaluate", gold, "--users", "2,1", "--power", "2",
+                             "--symbol-duration", "0.5", "--noise", "0.01", "--csv", csv_path])
+        return {f"{case}.json": stdout, f"{case}.csv": _read(csv_path)}
+    if case == "scatter":
+        csv_path = os.path.join(workdir, "scatter.csv")
+        missing = os.path.join(workdir, "missing.json")
+        single = os.path.join(workdir, "single.json")  # one user: an unbounded SNR
+        _stdout_of(["generate", "tone", "--n", "8", "--k", "3", "--out", single])
+        with contextlib.redirect_stderr(io.StringIO()):
+            _stdout_of(["scatter", gold, fzc, _tone(workdir), missing, single, "--out", csv_path])
+        return {f"{case}.csv": _read(csv_path)}
+    if case == "simulate_out":
+        out = os.path.join(workdir, "sim")
+        _stdout_of(["simulate", gold, "--users", "1,2", "--threads", "2", "--trials", "9000",
+                    "--seed", "5", "--noise", "0.02", "--out", out])
+        return {f"{case}.json": _read(os.path.join(out, "simulate.json"))}
     raise ValueError(f"unknown golden case {case!r}")
 
 
-CASES = ("evaluate_gold", "evaluate_fzc127", "simulate_gold", "simulate_gold3", "optimize_n8")
+CASES = ("evaluate_gold", "evaluate_fzc127", "simulate_gold", "simulate_gold3", "optimize_n8",
+         "generate", "evaluate_csv", "scatter", "simulate_out")
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -316,6 +316,12 @@ class TestCdmaConfig:
             dict(n_chips=4, n_users=2, power=0.0),
             dict(n_chips=4, n_users=2, symbol_duration=-1.0),
             dict(n_chips=4, n_users=2, noise_density=-0.1),
+            dict(n_chips=4, n_users=2, power=float("nan")),
+            dict(n_chips=4, n_users=2, power=float("inf")),
+            dict(n_chips=4, n_users=2, symbol_duration=float("nan")),
+            dict(n_chips=4, n_users=2, symbol_duration=float("inf")),
+            dict(n_chips=4, n_users=2, noise_density=float("nan")),
+            dict(n_chips=4, n_users=2, noise_density=float("inf")),
         ],
     )
     def test_validation(self, kwargs):

@@ -202,7 +202,7 @@ class TestSolveLocal:
         report = solve_local(random_feasible_point(16, 2, 3), cfg)
         assert not report.converged
         assert "3" in report.status or "tolerances" in report.status
-        assert report.best_alpha[0].shape == (32,)
+        assert realify(report.best_coeffs[0].alpha).shape == (32,)
 
     def test_infeasible_start_rejected(self):
         point = random_feasible_point(8, 2, 1)
@@ -314,7 +314,7 @@ class TestSolveMultistart:
         local = solve_local(random_feasible_point(8, 2, restart_seed(9, 1)), cfg)
         assert multi.objective == local.objective
         assert multi.snr == local.snr
-        assert np.array_equal(multi.best_alpha[0], local.best_alpha[0])
+        assert np.array_equal(multi.best_coeffs[0].alpha, local.best_coeffs[0].alpha)
 
     def test_deterministic_and_thread_independent(self):
         cfg = SolverConfig(restarts=3, seed=17)
@@ -324,8 +324,8 @@ class TestSolveMultistart:
         for other in (b, c):
             assert a.restart_snrs == other.restart_snrs
             assert a.snr == other.snr
-            assert np.array_equal(a.best_alpha[0], other.best_alpha[0])
-            assert np.array_equal(a.best_alpha[1], other.best_alpha[1])
+            assert np.array_equal(a.best_coeffs[0].alpha, other.best_coeffs[0].alpha)
+            assert np.array_equal(a.best_coeffs[1].alpha, other.best_coeffs[1].alpha)
 
     def test_restarts_pin_one_blas_thread_and_restore_the_count(self, monkeypatch):
         blas = _openblas()
@@ -373,6 +373,12 @@ class TestSolverConfig:
             SolverConfig(restarts=0)
         with pytest.raises(ValueError):
             SolverConfig(kkt_tolerance=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tolerances"):
+                SolverConfig(kkt_tolerance=bad)
+            with pytest.raises(ValueError, match="tolerances"):
+                SolverConfig(constraint_tolerance=bad)
+        assert SolverConfig(kkt_tolerance=1e300).kkt_tolerance == 1e300
         for max_iterations in (0, -5):
             with pytest.raises(ValueError, match="max_iterations"):
                 SolverConfig(max_iterations=max_iterations)

@@ -1,0 +1,38 @@
+"""The top-level namespace and the demos that import from it."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import spreadopt
+from spreadopt import interference, metrics, optimizer, sequences, simulator, spectral
+
+MODULES = (interference, metrics, optimizer, sequences, simulator, spectral)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_namespace_is_union_of_module_apis():
+    names = {name for module in MODULES for name in module.__all__}
+    assert spreadopt.__all__ == sorted(names) + ["__version__"]
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(spreadopt, name) is getattr(module, name), name
+
+
+@pytest.mark.parametrize("demo, extra", [
+    ("01_spectral_model.py", []),
+    ("02_baseline_families.py", []),
+    ("03_monte_carlo_validation.py", []),
+    ("04_two_user_design.py", []),
+    ("05_stretch_design_n31.py", ["--restarts", "20"]),
+])
+def test_demo_runs(demo, extra, tmp_path):
+    if demo.startswith("05"):
+        extra = extra + ["--out", str(tmp_path / "snrs.csv")]
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo), *extra],
+                          env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
