@@ -15,12 +15,12 @@ parser once per process and reuses it on every call.
 
 import argparse
 import csv
-import ctypes
 import datetime
 import itertools
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -62,15 +62,33 @@ class _Parser(argparse.ArgumentParser):
 # sequence-set files
 
 
+@contextmanager
+def _output_file(path: str, **options):
+    """open(path, "w", **options); a failure to create or write it is a CliError."""
+    try:
+        with open(path, "w", **options) as fh:
+            yield fh
+    except OSError as exc:
+        raise CliError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
+def _output_dir(path: str) -> None:
+    """os.makedirs(path, exist_ok=True); a failure is a CliError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create directory {path!r}: {exc.strerror or exc}") from exc
+
+
 def _write_json(path: str, payload, **options) -> None:
     """Write payload as indented JSON plus a final newline; options go to json.dump."""
-    with open(path, "w") as fh:
+    with _output_file(path) as fh:
         json.dump(payload, fh, indent=2, **options)
         fh.write("\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _output_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -153,31 +171,6 @@ def _csv_row(label: str, peaks, breakdown) -> list[str]:
         repr(peaks.theta_hat_a), repr(peaks.theta_hat_c),
         str(_snr_value(breakdown.unbounded, breakdown.snr)),
     ]
-
-
-# glibc mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _retain_freed_heap() -> None:
-    """Keep freed heap memory in the process instead of returning it to the OS.
-
-    Each 8192-trial Monte Carlo block allocates and frees about 1 MiB of
-    numpy temporaries.  Under glibc's default thresholds that memory goes back
-    to the OS after every block and is faulted in again by the next (about
-    225 minor page faults per block), which halves simulate throughput; the
-    solver's former optimization library raised those thresholds on import as
-    a side effect.  Freed memory up to 64 MiB is kept instead.  A no-op off
-    Linux.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _thread_count(threads) -> int:
@@ -277,11 +270,12 @@ def cmd_evaluate(args) -> int:
         }
     else:
         payload["sarwate"] = None
-    _print_json(payload)
+    # the CSV goes first, so that a failed write prints no report
     if args.csv:
         row = _csv_row("+".join(payload["labels"]), peaks, breakdowns[0])
         _write_csv(args.csv, CSV_HEADER, [row])
         _write_manifest(os.path.dirname(os.path.abspath(args.csv)), "evaluate", args, seed=None)
+    _print_json(payload)
     return EXIT_OK
 
 
@@ -331,7 +325,7 @@ def cmd_optimize(args) -> int:
         seed=args.seed,
     )
     report = solve_multistart(args.n, cfg, threads=_thread_count(args.threads))
-    os.makedirs(args.out, exist_ok=True)
+    _output_dir(args.out)
     write_sequence_set(os.path.join(args.out, "sequences.json"), report.best_sequences)
     _write_json(os.path.join(args.out, "report.json"), _report_payload(report, args.seed))
     _write_csv(os.path.join(args.out, "restart_snrs.csv"), ["snr"],
@@ -351,9 +345,8 @@ def cmd_simulate(args) -> int:
     users, selected, cfg = _user_set(args)
     if args.trials < 100:
         raise CliError("--trials must be at least 100")
-    threads = _thread_count(args.threads)
-    _retain_freed_heap()
-    estimate = estimate_snr(cfg, selected, 1, args.trials, args.seed, threads=threads)
+    _thread_count(args.threads)  # a negative count is a usage error; the count has no effect
+    estimate = estimate_snr(cfg, selected, 1, args.trials, args.seed)
     analytic = snr(cfg, selected, 1)
     if estimate.var_interference_stderr > 0:
         z = (estimate.var_interference_mean - analytic.interference_variance) / (
@@ -379,11 +372,12 @@ def cmd_simulate(args) -> int:
         },
         "z_score": z,
     }
-    _print_json(payload)
+    # the files go first, so that a failed write prints no report
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _output_dir(args.out)
         _write_json(os.path.join(args.out, "simulate.json"), payload)
         _write_manifest(args.out, "simulate", args, seed=args.seed)
+    _print_json(payload)
     return EXIT_OK
 
 
@@ -442,18 +436,17 @@ def build_parser() -> _Parser:
     opt = sub.add_parser("optimize", help="multi-restart two-user sequence design")
     sim = sub.add_parser("simulate", help="Monte Carlo check of the interference model")
     # the user-set flags; argparse lists flags in the order they are added, so
-    # simulate's --trials and --seed go between --users and --power as before
-    for p, users_help, noise_help, int_flags in (
-        (ev, "comma-separated 1-based user indices, e.g. 1,2", "one-sided noise density N0", {}),
-        (sim, None, None, {"--trials": 100000, "--seed": 0}),
-    ):
+    # simulate's --trials and --seed go between --users and --power
+    for p, int_flags in ((ev, {}), (sim, {"--trials": 100000, "--seed": 0})):
         p.add_argument("set_file", type=str)
-        p.add_argument("--users", type=str, required=True, help=users_help)
+        p.add_argument("--users", type=str, required=True,
+                       help="comma-separated 1-based user indices, e.g. 1,2")
         for flag, default in int_flags.items():
             p.add_argument(flag, type=int, default=default)
         p.add_argument("--power", type=float, default=DEFAULT_POWER)
         p.add_argument("--symbol-duration", type=float, default=DEFAULT_SYMBOL_DURATION)
-        p.add_argument("--noise", type=float, default=DEFAULT_NOISE, help=noise_help)
+        p.add_argument("--noise", type=float, default=DEFAULT_NOISE,
+                       help="one-sided noise density N0")
 
     ev.add_argument("--csv", type=str, default=None, help="also write a scatter-style CSV row")
     ev.set_defaults(func=cmd_evaluate)
@@ -470,7 +463,7 @@ def build_parser() -> _Parser:
     opt.set_defaults(func=cmd_optimize)
 
     sim.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: machine parallelism)")
+                     help="accepted for compatibility; simulate runs on one thread")
     sim.add_argument("--out", type=str, default=None, help="optional output directory")
     sim.set_defaults(func=cmd_simulate)
 

@@ -18,13 +18,12 @@ interference variance, to be compared against the closed-form value.
 
 Determinism contract: results are a pure function of (inputs, seed, trials).
 Trials are processed in fixed-size blocks; each (interferer, block) pair gets
-its own generator derived from the master seed, so the draws do not depend on
-how blocks are assigned to worker threads, and the block partial sums are
-combined with exact (compensated) summation in fixed block order.
+its own generator derived from the master seed, so the draws of a block do
+not depend on the blocks before it, and the block partial sums are combined
+with exact (compensated) summation in fixed block order.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,19 +57,82 @@ class SimulationEstimate:
     unbounded: bool = False
 
 
-def _sample_values(table, offset, tau, chip_duration, n_chips):
-    """Vectorized |I~|^2 for arrays of draws.
+class _Kernel:
+    """|I~|^2 of one interferer for blocks of draws, computed in fixed buffers.
 
-    table is a flat array of rows b_prev*x + b_cur*y, each N+1 long; a draw
-    reads its delay's two entries from the row that starts at its offset.
+    table is the (4, N+1) bit table; a draw reads its delay's two entries
+    from the row that starts at its offset.  Every step writes into a buffer
+    allocated once here, so a block allocates only the 64 KiB array of raw
+    generator outputs its bits come from.  A table with no imaginary part (any real pair,
+    Gold and +-1 among them) is gathered as float64 and combined as v*v with
+    v = w_lo*a_lo + w_hi*a_hi: bit-identical to the complex route, because
+    multiplying a float by a + 0j rounds only w*a and |x + 0j|**2 is x*x.
     """
-    l = np.minimum((tau / chip_duration).astype(int), n_chips - 1)
-    idx = offset + l
-    a_lo = table[idx]
-    a_hi = table[idx + 1]
-    w_lo = tau - l * chip_duration
-    w_hi = (l + 1) * chip_duration - tau
-    return np.abs(w_lo * a_lo + w_hi * a_hi) ** 2
+
+    def __init__(self, table, cfg: CdmaConfig, size: int = _BLOCK):
+        table = table.ravel()
+        self.real = not np.any(table.imag)
+        self.table = table.real.copy() if self.real else table
+        self.n_chips = cfg.n_chips
+        self.chip_duration = cfg.chip_duration
+        self.symbol_duration = cfg.symbol_duration
+        self.tau = np.empty(size)
+        self.offset = np.empty(size, dtype=np.int64)
+        self.l = np.empty(size, dtype=np.int64)
+        self.w_lo = np.empty(size)
+        self.w_hi = np.empty(size)
+        self.a_lo = np.empty(size, dtype=self.table.dtype)
+        self.a_hi = np.empty(size, dtype=self.table.dtype)
+        self.values = np.empty(size)
+
+    def evaluate(self, n: int) -> np.ndarray:
+        """|I~|^2 of the first n draws in the tau and offset buffers (a view)."""
+        tc = self.chip_duration
+        tau, idx, l = self.tau[:n], self.offset[:n], self.l[:n]
+        w_lo, w_hi, a_lo, a_hi = self.w_lo[:n], self.w_hi[:n], self.a_lo[:n], self.a_hi[:n]
+        np.divide(tau, tc, out=w_lo)
+        l[...] = w_lo  # truncates, as astype(int) does
+        np.minimum(l, self.n_chips - 1, out=l)
+        idx += l
+        # every index is in range; mode="clip" writes out without a buffered copy
+        np.take(self.table, idx, out=a_lo, mode="clip")
+        idx += 1
+        np.take(self.table, idx, out=a_hi, mode="clip")
+        np.multiply(l, tc, out=w_lo)
+        np.subtract(tau, w_lo, out=w_lo)  # tau - l*Tc
+        np.add(l, 1.0, out=w_hi)  # exact: l + 1 is below 2**53
+        np.multiply(w_hi, tc, out=w_hi)
+        np.subtract(w_hi, tau, out=w_hi)  # (l+1)*Tc - tau
+        np.multiply(w_lo, a_lo, out=a_lo)
+        np.multiply(w_hi, a_hi, out=a_hi)
+        np.add(a_lo, a_hi, out=a_lo)
+        values = self.values[:n]
+        if not self.real:
+            a_lo = np.abs(a_lo, out=values)
+        return np.multiply(a_lo, a_lo, out=values)
+
+    def block_sums(self, seed: int, k_index: int, block: int, n_draws: int):
+        """(sum, sum of squares) of the per-trial values of one (interferer, block)."""
+        rng = np.random.default_rng(np.random.SeedSequence((seed, k_index, block)))
+        tau = self.tau[:n_draws]
+        rng.random(out=tau)
+        tau *= self.symbol_duration  # uniform(0, T) is 0.0 + T*next_double
+        # the phase psi takes one 64-bit output per draw; |I~|^2 is phase-free,
+        # so its stream positions are skipped rather than drawn
+        rng.bit_generator.advance(n_draws)
+        # integers(0, 2, n) returns the top bit of the next 32-bit half of the
+        # 64-bit stream, low half first (Lemire's method never rejects for a
+        # range of 2), so b_prev and b_cur are the top bits of the 2n halves
+        # of n raw outputs
+        bits = rng.bit_generator.random_raw(n_draws).astype("<u8", copy=False).view("<u4")
+        bits >>= 31
+        # row 2*b_prev + b_cur: bit 1 is +1, bit 0 is -1
+        offset = self.offset[:n_draws]
+        np.multiply(bits[:n_draws], 2, out=offset)
+        offset += bits[n_draws:]
+        offset *= self.n_chips + 1
+        values = self.evaluate(n_draws)
+        return float(np.sum(values)), float(np.dot(values, values))
 
 
 def interference_sample(cfg: CdmaConfig, s_i, s_k, draw: MonteCarloDraw) -> float:
@@ -85,24 +147,10 @@ def interference_sample(cfg: CdmaConfig, s_i, s_k, draw: MonteCarloDraw) -> floa
     sk = sequence_entries(s_k)
     if si.shape[0] != cfg.n_chips or sk.shape[0] != cfg.n_chips:
         raise ValueError("sequence length does not match cfg.n_chips")
-    x, y = partial_sum_table(si, sk)
-    row = draw.bits.b_prev * x + draw.bits.b_cur * y
-    value = _sample_values(row, 0, np.asarray([draw.tau]), cfg.chip_duration, cfg.n_chips)
-    return float(value[0])
-
-
-def _block_sums(tables, k_index, block, n_draws, cfg, seed):
-    """(sum, sum of squares) of per-trial values for one (interferer, block)."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, k_index, block)))
-    tau = rng.uniform(0.0, cfg.symbol_duration, n_draws)
-    # the phase psi takes one 64-bit output per draw; |I~|^2 is phase-free,
-    # so its stream positions are skipped rather than drawn
-    rng.bit_generator.advance(n_draws)
-    bits = rng.integers(0, 2, (2, n_draws))
-    offset = (2 * bits[0] + bits[1]) * (cfg.n_chips + 1)  # bit 1 is +1, bit 0 is -1
-    table = tables[k_index].ravel()
-    values = _sample_values(table, offset, tau, cfg.chip_duration, cfg.n_chips)
-    return float(np.sum(values)), float(np.dot(values, values))
+    kernel = _Kernel(_bit_table(*partial_sum_table(si, sk)), cfg, size=1)
+    kernel.tau[0] = draw.tau
+    kernel.offset[0] = (2 * (draw.bits.b_prev > 0) + (draw.bits.b_cur > 0)) * (cfg.n_chips + 1)
+    return float(kernel.evaluate(1)[0])
 
 
 def estimate_snr(
@@ -120,6 +168,9 @@ def estimate_snr(
     sample standard deviation of the per-trial values over sqrt(trials).
     The SNR estimate plugs the estimated variance into
     sqrt(Var_D / (Var_I + N0*T/4)) with Var_D = P*T^2/2.
+
+    threads is accepted and has no effect: blocks run in turn on the calling
+    thread, because worker threads measured no faster than one.
     """
     if trials < 100:
         raise ValueError("trials must be at least 100")
@@ -131,39 +182,21 @@ def estimate_snr(
     var_d = p * t**2 / 2.0
     noise_var = n0 * t / 4.0
 
-    tables = {
-        k: _bit_table(*partial_sum_table(entries[i - 1], entries[k - 1])) for k in interferers
-    }
-    n_blocks = (trials + _BLOCK - 1) // _BLOCK
-    jobs = []
-    for k in interferers:
-        for b in range(n_blocks):
-            n_draws = min(_BLOCK, trials - b * _BLOCK)
-            jobs.append((k, b, n_draws))
-
-    def run(job):
-        k, b, n_draws = job
-        return _block_sums(tables, k, b, n_draws, cfg, seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
-    # fixed-order compensated reduction: independent of worker assignment.
     # Draws are independent across interferers, so the variance of the
     # per-trial value (a sum over interferers) is the sum of the per-
-    # interferer variances.  With no interferers the sums are empty and the
-    # estimate is 0 with stderr 0.
+    # interferer variances.  Block sums are combined by exact summation in
+    # block order.  With no interferers the estimate is 0 with stderr 0.
+    n_blocks = (trials + _BLOCK - 1) // _BLOCK
     mean = 0.0
     var_of_value = 0.0
-    for pos, _ in enumerate(interferers):
-        chunk = results[pos * n_blocks : (pos + 1) * n_blocks]
-        total_k = math.fsum(r[0] for r in chunk)
-        total_sq_k = math.fsum(r[1] for r in chunk)
-        mean_k = total_k / trials
-        second_k = total_sq_k / trials
+    for k in interferers:
+        kernel = _Kernel(_bit_table(*partial_sum_table(entries[i - 1], entries[k - 1])), cfg)
+        sums = [
+            kernel.block_sums(seed, k, b, min(_BLOCK, trials - b * _BLOCK))
+            for b in range(n_blocks)
+        ]
+        mean_k = math.fsum(total for total, _ in sums) / trials
+        second_k = math.fsum(total_sq for _, total_sq in sums) / trials
         mean += mean_k
         var_of_value += max(0.0, (second_k - mean_k**2) * trials / (trials - 1))
     scale = p / 4.0

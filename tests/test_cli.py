@@ -412,6 +412,46 @@ class TestScatter:
         assert code == 1
 
 
+class TestUnwritableOutput:
+    """An output file or directory that cannot be created is a usage error naming it."""
+
+    def assert_write_error(self, capsys, path, *argv):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1
+        assert str(path) in stderr
+        assert stdout == ""
+
+    def test_generate(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "g.json"
+        self.assert_write_error(capsys, out, "generate", "gold", "--degree", "5",
+                                "--out", str(out))
+
+    def test_scatter(self, tmp_path, capsys):
+        gold, _, _ = make_pair_files(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "nodir" / "s.csv"
+        self.assert_write_error(capsys, out, "scatter", str(gold), "--out", str(out))
+
+    def test_evaluate_csv_prints_no_report(self, tmp_path, capsys):
+        gold, _, _ = make_pair_files(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "ev" / "ev.csv"
+        self.assert_write_error(capsys, out, "evaluate", str(gold), "--users", "1,2",
+                                "--csv", str(out))
+
+    def test_simulate_out_names_a_file(self, tmp_path, capsys):
+        gold, _, _ = make_pair_files(tmp_path)
+        capsys.readouterr()
+        self.assert_write_error(capsys, gold, "simulate", str(gold), "--users", "1,2",
+                                "--trials", "200", "--out", str(gold))
+
+    def test_optimize_out_names_a_file(self, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("")
+        self.assert_write_error(capsys, out, "optimize", "--n", "4", "--restarts", "1",
+                                "--threads", "1", "--out", str(out))
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -164,13 +166,19 @@ class TestRandomStream:
     @pytest.mark.parametrize("n_draws", [8192, 3617, 1])
     def test_block_sums_equal_reference_exactly(self, n, n_draws):
         rng = np.random.default_rng(n)
-        s_i, s_k = random_unit_modulus(n, rng), random_unit_modulus(n, rng)
         cfg = CdmaConfig(n_chips=n, n_users=3, symbol_duration=0.9)
-        x, y = partial_sum_table(s_i, s_k)
-        for seed, k, block in [(0, 2, 0), (123, 3, 1), (2**63 + 11, 2, 7)]:
-            sums = simulator._block_sums({k: simulator._bit_table(x, y)}, k, block,
-                                         n_draws, cfg, seed)
-            assert sums == _reference_block_sums(x, y, k, block, n_draws, cfg, seed)
+        # a complex pair and a real +-1 pair: the kernel's two combine paths
+        pairs = [
+            (random_unit_modulus(n, rng), random_unit_modulus(n, rng)),
+            tuple(rng.choice([-1.0, 1.0], size=(2, n)).astype(complex)),
+        ]
+        for (s_i, s_k), real in zip(pairs, (False, True)):
+            x, y = partial_sum_table(s_i, s_k)
+            kernel = simulator._Kernel(simulator._bit_table(x, y), cfg)
+            assert kernel.real == real
+            for seed, k, block in [(0, 2, 0), (123, 3, 1), (2**63 + 11, 2, 7)]:
+                sums = kernel.block_sums(seed, k, block, n_draws)
+                assert sums == _reference_block_sums(x, y, k, block, n_draws, cfg, seed)
 
     @pytest.mark.parametrize("n_draws", [8192, 3617, 1])
     def test_advance_skips_exactly_the_phase_draw(self, n_draws):
@@ -182,3 +190,54 @@ class TestRandomStream:
         skipped.bit_generator.advance(n_draws)
         expected = np.stack([drawn.integers(0, 2, n_draws), drawn.integers(0, 2, n_draws)])
         assert np.array_equal(skipped.integers(0, 2, (2, n_draws)), expected)
+
+
+def _pinned_pair(n, kind):
+    rng = np.random.default_rng(1000 + n)
+    real = list(rng.choice([-1.0, 1.0], size=(2, n)).astype(complex))
+    return real if kind == "pm1" else list(np.exp(2j * np.pi * rng.random((2, n))))
+
+
+class TestPinnedEstimates:
+    """estimate_snr bits at N = 5, 31 and 127, for a real and a complex pair.
+
+    The values were computed by the unbuffered kernel that drew the bits as
+    one (2, n) array and combined every pair in complex arithmetic; 20001
+    trials make two full blocks and a partial one.
+    """
+
+    PINNED = {
+        (5, "pm1"): (0.061614717582036, 0.0003923215886574961),
+        (5, "complex"): (0.02941281742780012, 0.00023129506646173216),
+        (31, "pm1"): (0.005215094698283199, 5.201985361327021e-05),
+        (31, "complex"): (0.004435434132156012, 2.5186960165357855e-05),
+        (127, "pm1"): (0.0009354404842633701, 9.686004419396598e-06),
+        (127, "complex"): (0.001154706828840556, 8.124344454723392e-06),
+    }
+
+    @pytest.mark.parametrize("n, kind", sorted(PINNED))
+    def test_bit_exact(self, n, kind):
+        cfg = CdmaConfig(n_chips=n, n_users=2, symbol_duration=0.9)
+        out = estimate_snr(cfg, _pinned_pair(n, kind), 1, trials=20001, seed=2026)
+        assert (out.var_interference_mean, out.var_interference_stderr) == self.PINNED[n, kind]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap behaviour")
+class TestKernelMemory:
+    """A block touches no fresh memory, so a long call takes few page faults."""
+
+    BLOCKS = 512
+
+    @pytest.mark.parametrize("n", [31, 127, 1023])
+    @pytest.mark.parametrize("kind", ["pm1", "complex"])
+    def test_at_most_one_minor_fault_per_block(self, n, kind):
+        import resource
+
+        pair = _pinned_pair(n, kind)
+        cfg = CdmaConfig(n_chips=n, n_users=2)
+        estimate_snr(cfg, pair, 1, trials=simulator._BLOCK, seed=0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        estimate_snr(cfg, pair, 1, trials=self.BLOCKS * simulator._BLOCK, seed=1)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        # the kernel's own buffers (about 150-210 pages) fault in once per call
+        assert faults <= self.BLOCKS
