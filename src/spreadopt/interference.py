@@ -271,26 +271,13 @@ def s_m_terms(c_i: SpectralCoeffs, c_k: SpectralCoeffs) -> np.ndarray:
     )
 
 
-def _s_m_sum(cfg: CdmaConfig, sequences, i: int) -> float:
-    """sum_{k != i} sum_m S_m(i, k) over a validated user set."""
-    users = _check_user_set(cfg, sequences, i)
-    coeffs = [u if isinstance(u, SpectralCoeffs) else decompose(u) for u in users]
-    total = 0.0
-    for k, ck in enumerate(coeffs, start=1):
-        if k == i:
-            continue
-        total += float(np.sum(s_m_terms(coeffs[i - 1], ck)))
-    return total
-
-
 def interference_variance_spectral(cfg: CdmaConfig, sequences, i: int) -> float:
     """Var_I for user i via the spectral form (P T^2 / 12 N^2) sum_k sum_m S_m.
 
     ``sequences`` may hold chip sequences or ready-made SpectralCoeffs.
     Must agree with interference_variance_direct to roundoff.
     """
-    scale = cfg.power * cfg.symbol_duration**2 / (12.0 * cfg.n_chips**2)
-    return scale * _s_m_sum(cfg, sequences, i)
+    return snr(cfg, sequences, i).interference_variance
 
 
 def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
@@ -299,7 +286,13 @@ def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
     With no interferers and zero noise density the SNR has no finite value;
     the result is flagged ``unbounded`` and carries snr = inf.
     """
-    s_sum = _s_m_sum(cfg, sequences, i)
+    users = _check_user_set(cfg, sequences, i)
+    coeffs = [u if isinstance(u, SpectralCoeffs) else decompose(u) for u in users]
+    # sum_{k != i} sum_m S_m(i, k)
+    s_sum = 0.0
+    for k, ck in enumerate(coeffs, start=1):
+        if k != i:
+            s_sum += float(np.sum(s_m_terms(coeffs[i - 1], ck)))
     p, t, n0 = cfg.power, cfg.symbol_duration, cfg.noise_density
     var_i = p * t**2 / (12.0 * cfg.n_chips**2) * s_sum
     var_n = n0 * t / 4.0

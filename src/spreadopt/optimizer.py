@@ -55,9 +55,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .interference import _weights, s_m_terms
+from .interference import CdmaConfig, _weights, snr
 from .sequences import ChipSequence, random_feasible_point
-from .spectral import SpectralCoeffs, coupling_matrices, decompose, reconstruct
+from .spectral import SpectralCoeffs, coupling_matrices, reconstruct
 
 __all__ = [
     "RealCouplingMatrices",
@@ -100,18 +100,13 @@ class RealCouplingMatrices:
     phi_hat_r: np.ndarray
 
 
-def _block_real(mat: np.ndarray) -> np.ndarray:
-    out = np.block([[mat.real, -mat.imag], [mat.imag, mat.real]])
-    out.setflags(write=False)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _real_coupling_cached(n_chips: int) -> RealCouplingMatrices:
-    pair = coupling_matrices(n_chips)
-    return RealCouplingMatrices(
-        phi_r=_block_real(pair.phi), phi_hat_r=_block_real(pair.phi_hat)
-    )
+    # phi = phi_hat^H, so its realification is the transpose of phi_hat's
+    phi_hat = coupling_matrices(n_chips).phi_hat
+    phi_hat_r = np.block([[phi_hat.real, -phi_hat.imag], [phi_hat.imag, phi_hat.real]])
+    phi_hat_r.setflags(write=False)
+    return RealCouplingMatrices(phi_r=phi_hat_r.T, phi_hat_r=phi_hat_r)
 
 
 def real_coupling_matrices(n_chips: int) -> RealCouplingMatrices:
@@ -283,20 +278,14 @@ def _kkt_residual_reduced(z: np.ndarray, n_chips: int) -> float:
     )
 
 
-def _snr_from_objective(value: float, n_chips: int) -> float:
-    if value <= 0.0:
-        return math.inf
-    return (value / (6.0 * n_chips**2)) ** -0.5
-
-
 def _report_from_stacked(z, n_chips, iterations, converged, status, kkt, trace):
     half = 2 * n_chips
     phi_hat_r = real_coupling_matrices(n_chips).phi_hat_r
-    alphas = [z[:half].copy(), z[half:].copy()]
     # beta computed by the same real matvec used in feasibility_errors, so a
     # feasible reduced-form solution reports e2 = 0 exactly
     coeffs = [
-        SpectralCoeffs(alpha=complexify(a), beta=complexify(phi_hat_r @ a)) for a in alphas
+        SpectralCoeffs(alpha=complexify(a), beta=complexify(phi_hat_r @ a))
+        for a in (z[:half], z[half:])
     ]
     seqs = [
         ChipSequence(
@@ -304,22 +293,22 @@ def _report_from_stacked(z, n_chips, iterations, converged, status, kkt, trace):
         )
         for k, c in enumerate(coeffs)
     ]
-    # the reported value is the reconstructed sequences' own evaluation, so
-    # re-evaluating the emitted pair reproduces the reported SNR bit-for-bit
-    # even when the objective sits at the roundoff floor; the solver-path
-    # values remain in objective_trace
-    value = float(np.sum(s_m_terms(decompose(seqs[0].entries), decompose(seqs[1].entries))))
+    # the emitted sequences are scored by interference.snr itself, so
+    # re-evaluating them reproduces the reported SNR bit for bit even when the
+    # objective sits at the roundoff floor; the solver-path values remain in
+    # objective_trace
+    scored = snr(CdmaConfig(n_chips=n_chips, n_users=2), seqs, 1)
     e1, e2 = feasibility_errors(coeffs)
     return SolveReport(
         n_chips=n_chips,
         best_coeffs=coeffs,
         best_sequences=seqs,
-        objective=value,
-        snr=_snr_from_objective(value, n_chips),
+        objective=scored.s_m_sum,
+        snr=scored.snr,
         e1=e1,
         e2=e2,
         iterations=iterations,
-        restart_snrs=[_snr_from_objective(value, n_chips)],
+        restart_snrs=[scored.snr],
         restart_converged=[converged],
         converged=converged,
         status=status,
@@ -327,7 +316,7 @@ def _report_from_stacked(z, n_chips, iterations, converged, status, kkt, trace):
         objective_trace=trace,
         restart_errors=[(e1, e2)],
         restart_iterations=[iterations],
-        restart_objectives=[value],
+        restart_objectives=[scored.s_m_sum],
         restart_kkt=[kkt],
         restart_statuses=[status],
     )
@@ -609,11 +598,8 @@ def solve_multistart(n_chips: int, cfg: SolverConfig, threads: int = 1) -> Solve
         reports = [_run_restart(job) for job in jobs]
 
     eligible = [r for r in reports if r.converged]
-    pool_reports = eligible if eligible else reports
-    best = pool_reports[0]
-    for r in pool_reports[1:]:
-        if r.snr > best.snr:
-            best = r
+    # max keeps the first of equal keys: ties go to the lowest restart index
+    best = max(eligible or reports, key=lambda r: r.snr)
     for name in _PER_RESTART:
         setattr(best, name, [entry for r in reports for entry in getattr(r, name)])
     best.restart_seeds = [restart_seed(cfg.seed, t) for t in range(1, cfg.restarts + 1)]

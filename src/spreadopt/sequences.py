@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralCoeffs, coupling_matrices
+from .spectral import SpectralCoeffs, coeffs_from_alpha
 
 __all__ = [
     "ChipSequence",
@@ -74,37 +74,32 @@ class Lfsr:
         self._period_check()
 
     def _period_check(self):
+        # The window of d bits at offset k is the state after k steps.  The
+        # feedback always includes a[i-d], so the state map is a bijection and
+        # the initial state recurs within 2^d - 1 steps.
         period = 2**self.degree - 1
-        state = self.init_state
-        for step in range(1, period + 1):
-            state = self._step(state)
-            if state == self.init_state:
-                if step != period:
-                    raise ValueError(
-                        f"taps {self.taps} of degree {self.degree} are not primitive "
-                        f"(period {step} < {period})"
-                    )
-                return
-        raise ValueError(f"taps {self.taps} never return to the initial state")
+        step = self._run(period + self.degree).tobytes().find(bytes(self.init_state), 1)
+        if step != period:
+            raise ValueError(
+                f"taps {self.taps} of degree {self.degree} are not primitive "
+                f"(period {step} < {period})"
+            )
 
-    def _step(self, state):
-        # recurrence a[i] = a[i-d] xor (xor of a[i-d+t] over taps)
-        bit = state[0]
-        for t in self.taps:
-            bit ^= state[t]
-        return state[1:] + (bit,)
-
-    def bits(self) -> np.ndarray:
-        """One full period (2^degree - 1 bits) starting from the initial state."""
-        period = 2**self.degree - 1
-        out = np.empty(period, dtype=np.int8)
+    def _run(self, length: int) -> np.ndarray:
+        """The first ``length`` bits from the initial state."""
+        out = np.empty(length, dtype=np.int8)
         out[: self.degree] = self.init_state
-        for i in range(self.degree, period):
+        for i in range(self.degree, length):
+            # recurrence a[i] = a[i-d] xor (xor of a[i-d+t] over taps)
             bit = out[i - self.degree]
             for t in self.taps:
                 bit ^= out[i - self.degree + t]
             out[i] = bit
         return out
+
+    def bits(self) -> np.ndarray:
+        """One full period (2^degree - 1 bits) starting from the initial state."""
+        return self._run(2**self.degree - 1)
 
 
 # Preferred m-sequence pairs per register degree (middle tap exponents).
@@ -203,12 +198,12 @@ def random_feasible_point(n_chips: int, n_users: int, seed: int) -> list[Spectra
     """
     if n_users < 1:
         raise ValueError("n_users must be at least 1")
-    phi_hat = coupling_matrices(n_chips).phi_hat
+    if n_chips < 2:
+        raise ValueError("n_chips must be at least 2")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     points = []
     for _ in range(n_users):
         stacked = rng.standard_normal(2 * n_chips)
         stacked *= np.sqrt(n_chips) / np.linalg.norm(stacked)
-        alpha = stacked[:n_chips] + 1j * stacked[n_chips:]
-        points.append(SpectralCoeffs(alpha=alpha, beta=phi_hat @ alpha))
+        points.append(coeffs_from_alpha(stacked[:n_chips] + 1j * stacked[n_chips:]))
     return points

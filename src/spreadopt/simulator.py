@@ -159,7 +159,6 @@ def estimate_snr(
     i: int,
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> SimulationEstimate:
     """Monte Carlo estimate of user i's interference variance and SNR.
 
@@ -167,10 +166,8 @@ def estimate_snr(
     with independent draws per interferer; the reported standard error is the
     sample standard deviation of the per-trial values over sqrt(trials).
     The SNR estimate plugs the estimated variance into
-    sqrt(Var_D / (Var_I + N0*T/4)) with Var_D = P*T^2/2.
-
-    threads is accepted and has no effect: blocks run in turn on the calling
-    thread, because worker threads measured no faster than one.
+    sqrt(Var_D / (Var_I + N0*T/4)) with Var_D = P*T^2/2.  Blocks run in turn
+    on the calling thread, because worker threads measured no faster than one.
     """
     if trials < 100:
         raise ValueError("trials must be at least 100")

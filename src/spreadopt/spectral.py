@@ -20,8 +20,9 @@ unit-modulus chips give ||alpha||^2 = ||beta||^2 = N.
 The two coefficient vectors are coupled by a fixed pair of unitary matrices:
 beta = phi_hat @ alpha and alpha = phi @ beta, with closed-form entries
 
-    phi[m, n]     = (2/N) / (1 - exp(2*pi*j*((n-m)/N + 1/(2N)))),
-    phi_hat[m, n] = (2/N) / (1 - exp(2*pi*j*((n-m)/N - 1/(2N)))).
+    phi_hat[m, n] = (2/N) / (1 - exp(2*pi*j*((n-m)/N - 1/(2N)))),
+
+and phi = phi_hat^H, the inverse of phi_hat.
 
 The half-bin offset keeps every denominator away from zero.  Indices m, n are
 1-based in the formulas above; arrays returned by this module store index m
@@ -152,8 +153,8 @@ def _coupling_cached(n_chips: int) -> CouplingMatrices:
     m = np.arange(1, n_chips + 1)[:, None]
     n = np.arange(1, n_chips + 1)[None, :]
     half = 1.0 / (2 * n_chips)
-    phi = (2.0 / n_chips) / (1.0 - np.exp(2j * np.pi * ((n - m) / n_chips + half)))
     phi_hat = (2.0 / n_chips) / (1.0 - np.exp(2j * np.pi * ((n - m) / n_chips - half)))
+    phi = phi_hat.conj().T
     # Unitarity is relied on everywhere downstream (norm preservation,
     # constraint elimination in the solver), so a failure here is a hard stop.
     eye = np.eye(n_chips)
@@ -169,7 +170,7 @@ def _coupling_cached(n_chips: int) -> CouplingMatrices:
 
 
 def coupling_matrices(n_chips: int) -> CouplingMatrices:
-    """Closed-form unitary matrices with phi_hat = inverse(phi) = conj(phi).
+    """Closed-form unitary matrices with phi = inverse(phi_hat) = phi_hat^H.
 
     Raises ArithmeticError if the constructed matrices are not unitary to
     within UNITARITY_TOL (this would invalidate the spectral machinery and is

@@ -11,7 +11,8 @@ regenerates the fixtures with
 and says why in its description.  The ``optimize`` case pins the files of an
 N = 8 design run; each restart runs with OpenBLAS pinned to one thread, so
 its bytes do not depend on the thread count.  The ``simulate_gold3`` case
-has two interferers, a one-trial tail block and two worker threads.  The
+has two interferers and a one-trial tail block, and passes ``--threads 2``,
+which simulate accepts and ignores.  The
 ``generate``, ``evaluate_csv``, ``scatter`` and ``simulate_out`` cases pin
 the files each file-writing command leaves behind (manifests excepted: they
 carry a timestamp and absolute paths).

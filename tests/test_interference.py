@@ -142,6 +142,7 @@ class TestVarianceEquivalence:
             direct = interference_variance_direct(cfg, pair, 1)
             spectral = interference_variance_spectral(cfg, pair, 1)
             assert direct == pytest.approx(spectral, rel=1e-9)
+            assert spectral == snr(cfg, pair, 1).interference_variance
 
     def test_three_users_additive(self):
         rng = np.random.default_rng(11)

@@ -61,6 +61,7 @@ class TestRealCoupling:
         eye = np.eye(2 * n)
         assert np.max(np.abs(mats.phi_r.T @ mats.phi_r - eye)) < 1e-10
         assert np.max(np.abs(mats.phi_hat_r.T @ mats.phi_hat_r - eye)) < 1e-10
+        assert np.array_equal(mats.phi_r, mats.phi_hat_r.T)
 
     def test_commutes_with_realify(self):
         rng = np.random.default_rng(1)
@@ -195,7 +196,8 @@ class TestSolveLocal:
         assert report.converged
         system = CdmaConfig(n_chips=8, n_users=2)
         evaluated = snr(system, report.best_sequences, 1)
-        assert evaluated.snr == pytest.approx(report.snr, rel=1e-9)
+        assert evaluated.snr == report.snr
+        assert evaluated.s_m_sum == report.objective
 
     def test_iteration_limit_reported_not_silent(self):
         cfg = SolverConfig(max_iterations=3, seed=0)

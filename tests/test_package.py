@@ -1,5 +1,6 @@
 """The top-level namespace and the demos that import from it."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import spreadopt
-from spreadopt import interference, metrics, optimizer, sequences, simulator, spectral
+from spreadopt import cli, interference, metrics, optimizer, sequences, simulator, spectral
 
 MODULES = (interference, metrics, optimizer, sequences, simulator, spectral)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -19,6 +20,16 @@ def test_namespace_is_union_of_module_apis():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(spreadopt, name) is getattr(module, name), name
+
+
+@pytest.mark.parametrize("module", MODULES + (cli,), ids=lambda m: m.__name__)
+def test_public_callables_are_plain_functions(module):
+    # bench/tracer.py wraps only inspect.isfunction names, so a decorator such
+    # as lru_cache on a public name would drop it from the traces silently
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if callable(obj) and not inspect.isclass(obj):
+            assert inspect.isfunction(obj), f"{module.__name__}.{name}"
 
 
 @pytest.mark.parametrize("demo, extra", [

@@ -12,7 +12,7 @@ from spreadopt.sequences import (
     random_feasible_point,
     single_tone_sequence,
 )
-from spreadopt.spectral import decompose
+from spreadopt.spectral import coeffs_from_alpha, decompose
 
 
 def circular_correlation(a, b):
@@ -28,7 +28,7 @@ class TestLfsr:
 
     def test_non_primitive_taps_rejected(self):
         # x^4 + x^2 + 1 = (x^2 + x + 1)^2 has period 6, not 15
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"not primitive \(period 6 < 15\)"):
             Lfsr((2,), 4)
 
     def test_zero_state_rejected(self):
@@ -147,6 +147,7 @@ class TestRandomFeasiblePoint:
             for point in random_feasible_point(16, 3, seed):
                 assert np.linalg.norm(point.alpha) ** 2 == pytest.approx(16, abs=1e-12)
                 assert np.linalg.norm(point.beta) ** 2 == pytest.approx(16, abs=1e-10)
+                assert np.array_equal(point.beta, coeffs_from_alpha(point.alpha).beta)
 
     def test_feasibility_errors_tiny(self):
         point = random_feasible_point(8, 2, 7)

@@ -93,13 +93,6 @@ class TestEstimateSnr:
         b = estimate_snr(cfg, pair, 1, trials=5000, seed=42)
         assert a == b
 
-    def test_independent_of_thread_count(self):
-        cfg = CdmaConfig(n_chips=31, n_users=2)
-        pair = gold_pair(5)
-        serial = estimate_snr(cfg, pair, 1, trials=20000, seed=7, threads=1)
-        threaded = estimate_snr(cfg, pair, 1, trials=20000, seed=7, threads=4)
-        assert serial == threaded
-
     @pytest.mark.parametrize(
         "make_pair",
         [
