@@ -45,13 +45,9 @@ from .spectral import SpectralCoeffs, decompose, sequence_entries
 
 __all__ = [
     "CdmaConfig",
-    "BitWindow",
     "SnrBreakdown",
-    "shift_matrix",
     "spectral_phases",
-    "partial_sums",
     "partial_sum_table",
-    "gamma_integral",
     "interference_variance_direct",
     "interference_variance_spectral",
     "s_m_terms",
@@ -90,18 +86,6 @@ class CdmaConfig:
 
 
 @dataclass(frozen=True)
-class BitWindow:
-    """The interferer's (previous, current) data bits, each in {-1, +1}."""
-
-    b_prev: int
-    b_cur: int
-
-    def __post_init__(self):
-        if self.b_prev not in (-1, 1) or self.b_cur not in (-1, 1):
-            raise ValueError("bits must be -1 or +1")
-
-
-@dataclass(frozen=True)
 class SnrBreakdown:
     """SNR of one user together with its variance components."""
 
@@ -110,18 +94,6 @@ class SnrBreakdown:
     snr: float
     s_m_sum: float
     unbounded: bool = False
-
-
-def shift_matrix(l: int, bits: BitWindow, n_chips: int) -> np.ndarray:
-    """The N x N block matrix B(l; b_prev, b_cur); B(0) = b_cur*I, B(N) = b_prev*I."""
-    if not 0 <= l <= n_chips:
-        raise ValueError(f"shift l={l} out of range 0..{n_chips}")
-    mat = np.zeros((n_chips, n_chips))
-    if l > 0:
-        mat[:l, n_chips - l:] = bits.b_prev * np.eye(l)
-    if l < n_chips:
-        mat[l:, : n_chips - l] = bits.b_cur * np.eye(n_chips - l)
-    return mat
 
 
 def spectral_phases(l: int, n_chips: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,40 +124,6 @@ def partial_sum_table(s_i, s_k) -> tuple[np.ndarray, np.ndarray]:
         x[l] = np.sum(si_c[:l] * sk[n - l:])
         y[l] = np.sum(si_c[l:] * sk[: n - l])
     return x, y
-
-
-def partial_sums(s_i, s_k, bits: BitWindow, l: int) -> tuple[complex, complex]:
-    """Slope coefficients of the two partial crosscorrelations at chip offset l.
-
-    The first value is s_i^* B(l) s_k, the second s_i^* B(l+1) s_k; written
-    out, the first is
-
-        b_prev * sum_{m=1..l}   conj(s_i[m]) s_k[N-l+m]
-      + b_cur  * sum_{m=1..N-l} conj(s_i[l+m]) s_k[m].
-    """
-    si = sequence_entries(s_i)
-    n = si.shape[0]
-    if not 0 <= l <= n - 1:
-        raise ValueError(f"chip offset l={l} out of range 0..{n - 1}")
-    x, y = partial_sum_table(si, s_k)
-    first = bits.b_prev * x[l] + bits.b_cur * y[l]
-    second = bits.b_prev * x[l + 1] + bits.b_cur * y[l + 1]
-    return complex(first), complex(second)
-
-
-def gamma_integral(s_i, s_k, bits: BitWindow, l: int, chip_duration: float) -> float:
-    """Integral over one chip interval of the squared interference term.
-
-    Equals (Tc^3/3) (|A_l|^2 + |A_{l+1}|^2 + Re[A_l conj(A_{l+1})]) >= 0.
-    Delays are confined to one symbol, so only the current bit window enters;
-    an interferer delayed by whole symbols would simply shift which bit pair
-    the caller passes in ``bits``.
-    """
-    if chip_duration <= 0:
-        raise ValueError("chip_duration must be positive")
-    a_l, a_l1 = partial_sums(s_i, s_k, bits, l)
-    quad = abs(a_l) ** 2 + abs(a_l1) ** 2 + (a_l * np.conj(a_l1)).real
-    return (chip_duration**3 / 3.0) * float(quad)
 
 
 def _check_user_set(cfg: CdmaConfig, sequences, i: int) -> list:

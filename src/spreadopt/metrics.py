@@ -1,5 +1,9 @@
 """Correlation functions in spectral form, peak statistics, and the Sarwate bound.
 
+"Aperiodic" here (``aperiodic_correlation``, ``theta_hat``, ``lhs_aperiodic``)
+means the odd-periodic (negacyclic) correlation C(l) - C(l - N), not the
+classical aperiodic C(l); the names stay because output keys carry them.
+
 Working in the coefficient representation, the periodic and aperiodic
 correlations of two sequences u, v at integer shift l are the weighted sums
 

@@ -15,6 +15,7 @@ phase psi cancels in the magnitude: its positions in the random stream are
 skipped, not drawn, so the delays and bits are those a full receiver-output
 path would draw.  Averaging (P/4) * |I~|^2 over draws estimates the
 interference variance, to be compared against the closed-form value.
+``estimate_snr`` is the only entry point; per-draw values stay in its kernel.
 
 Determinism contract: results are a pure function of (inputs, seed, trials).
 Trials are processed in fixed-size blocks; each (interferer, block) pair gets
@@ -24,25 +25,16 @@ with exact (compensated) summation in fixed block order.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import BitWindow, CdmaConfig, _bit_table, _check_user_set, partial_sum_table
-from .spectral import sequence_entries
+from .interference import CdmaConfig, _bit_table, _check_user_set, partial_sum_table
 
-__all__ = ["MonteCarloDraw", "SimulationEstimate", "interference_sample", "estimate_snr"]
+__all__ = ["SimulationEstimate", "estimate_snr"]
 
 _BLOCK = 8192
-
-
-@dataclass(frozen=True)
-class MonteCarloDraw:
-    """One interferer's delay, effective phase, and bit window."""
-
-    tau: float
-    psi: float
-    bits: BitWindow
 
 
 @dataclass(frozen=True)
@@ -62,28 +54,29 @@ class _Kernel:
 
     table is the (4, N+1) bit table; a draw reads its delay's two entries
     from the row that starts at its offset.  Every step writes into a buffer
-    allocated once here, so a block allocates only the 64 KiB array of raw
-    generator outputs its bits come from.  A table with no imaginary part (any real pair,
-    Gold and +-1 among them) is gathered as float64 and combined as v*v with
-    v = w_lo*a_lo + w_hi*a_hi: bit-identical to the complex route, because
-    multiplying a float by a + 0j rounds only w*a and |x + 0j|**2 is x*x.
+    of _BLOCK draws allocated once here, so a block allocates only the 64 KiB
+    array of raw generator outputs its bits come from.  A table with no
+    imaginary part (any real pair, Gold and +-1 among them) is gathered as
+    float64 and combined as v*v with v = w_lo*a_lo + w_hi*a_hi: bit-identical
+    to the complex route, because multiplying a float by a + 0j rounds only
+    w*a and |x + 0j|**2 is x*x.
     """
 
-    def __init__(self, table, cfg: CdmaConfig, size: int = _BLOCK):
+    def __init__(self, table, cfg: CdmaConfig):
         table = table.ravel()
         self.real = not np.any(table.imag)
         self.table = table.real.copy() if self.real else table
         self.n_chips = cfg.n_chips
         self.chip_duration = cfg.chip_duration
         self.symbol_duration = cfg.symbol_duration
-        self.tau = np.empty(size)
-        self.offset = np.empty(size, dtype=np.int64)
-        self.l = np.empty(size, dtype=np.int64)
-        self.w_lo = np.empty(size)
-        self.w_hi = np.empty(size)
-        self.a_lo = np.empty(size, dtype=self.table.dtype)
-        self.a_hi = np.empty(size, dtype=self.table.dtype)
-        self.values = np.empty(size)
+        self.tau = np.empty(_BLOCK)
+        self.offset = np.empty(_BLOCK, dtype=np.int64)
+        self.l = np.empty(_BLOCK, dtype=np.int64)
+        self.w_lo = np.empty(_BLOCK)
+        self.w_hi = np.empty(_BLOCK)
+        self.a_lo = np.empty(_BLOCK, dtype=self.table.dtype)
+        self.a_hi = np.empty(_BLOCK, dtype=self.table.dtype)
+        self.values = np.empty(_BLOCK)
 
     def evaluate(self, n: int) -> np.ndarray:
         """|I~|^2 of the first n draws in the tau and offset buffers (a view)."""
@@ -135,24 +128,6 @@ class _Kernel:
         return float(np.sum(values)), float(np.dot(values, values))
 
 
-def interference_sample(cfg: CdmaConfig, s_i, s_k, draw: MonteCarloDraw) -> float:
-    """Exact per-draw value of |I~|^2 for one interferer.
-
-    Nonnegative and piecewise quadratic in the delay on each chip interval.
-    """
-    t = cfg.symbol_duration
-    if not 0.0 <= draw.tau < t:
-        raise ValueError(f"delay tau={draw.tau} out of range [0, {t})")
-    si = sequence_entries(s_i)
-    sk = sequence_entries(s_k)
-    if si.shape[0] != cfg.n_chips or sk.shape[0] != cfg.n_chips:
-        raise ValueError("sequence length does not match cfg.n_chips")
-    kernel = _Kernel(_bit_table(*partial_sum_table(si, sk)), cfg, size=1)
-    kernel.tau[0] = draw.tau
-    kernel.offset[0] = (2 * (draw.bits.b_prev > 0) + (draw.bits.b_cur > 0)) * (cfg.n_chips + 1)
-    return float(kernel.evaluate(1)[0])
-
-
 def estimate_snr(
     cfg: CdmaConfig,
     sequences,
@@ -166,9 +141,11 @@ def estimate_snr(
     with independent draws per interferer; the reported standard error is the
     sample standard deviation of the per-trial values over sqrt(trials).
     The SNR estimate plugs the estimated variance into
-    sqrt(Var_D / (Var_I + N0*T/4)) with Var_D = P*T^2/2.  Blocks run in turn
+    sqrt(Var_D / (Var_I + N0*T/4)) with Var_D = P*T^2/2.  ``trials`` is any
+    integer of at least 100, numpy integers included.  Blocks run in turn
     on the calling thread, because worker threads measured no faster than one.
     """
+    trials = operator.index(trials)
     if trials < 100:
         raise ValueError("trials must be at least 100")
     entries = _check_user_set(cfg, sequences, i)

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from spreadopt.interference import (
-    BitWindow,
     CdmaConfig,
-    gamma_integral,
+    _bit_table,
     interference_variance_direct,
     interference_variance_spectral,
-    partial_sums,
+    partial_sum_table,
     s_m_terms,
-    shift_matrix,
     snr,
     spectral_phases,
 )
@@ -17,9 +15,18 @@ from spreadopt.sequences import gold_pair
 from spreadopt.simulator import estimate_snr
 from spreadopt.spectral import SpectralCoeffs, decompose
 
+# (b_prev, b_cur) in the row order of _bit_table
+BIT_PAIRS = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+
 
 def random_unit_modulus(n, rng):
     return np.exp(2j * np.pi * rng.random(n))
+
+
+def sign_and_complex_pairs(n, rng):
+    """A +-1 pair and a unit-modulus complex pair of length n."""
+    signs = rng.choice([-1.0, 1.0], size=(2, n)).astype(complex)
+    return [tuple(signs), (random_unit_modulus(n, rng), random_unit_modulus(n, rng))]
 
 
 def block_matrix_oracle(l, b_prev, b_cur, n):
@@ -29,102 +36,128 @@ def block_matrix_oracle(l, b_prev, b_cur, n):
     return np.vstack([top, bottom])
 
 
+def quadratic_form(s_i, s_k, l, b_prev, b_cur):
+    """A_l = s_i^* B(l; b_prev, b_cur) s_k from the block definition."""
+    return s_i.conj() @ block_matrix_oracle(l, b_prev, b_cur, len(s_i)) @ s_k
+
+
+def quadrature_variance(cfg, s_i, s_k):
+    """Var_I of one interferer by midpoint quadrature over each chip interval.
+
+    Integrates |(tau - l Tc) A_l + ((l+1) Tc - tau) A_{l+1}|^2 numerically over
+    [l Tc, (l+1) Tc) with A_l from B(l)'s block definition, and averages the
+    four bit pairs.
+    """
+    n, tc, points = cfg.n_chips, cfg.chip_duration, 4000
+    u = (np.arange(points) + 0.5) / points * tc  # tau - l*Tc at the midpoints
+    total = 0.0
+    for b_prev, b_cur in BIT_PAIRS:
+        a = [quadratic_form(s_i, s_k, l, b_prev, b_cur) for l in range(n + 1)]
+        for l in range(n):
+            total += 0.25 * float(np.mean(np.abs(u * a[l] + (tc - u) * a[l + 1]) ** 2)) * tc
+    return cfg.power / (4.0 * cfg.symbol_duration) * total
+
+
 class TestShiftMatrix:
+    """B(l; b_prev, b_cur) as both routes read it: the rows of the bit table."""
+
     @pytest.mark.parametrize("l", range(8))
     def test_matches_block_definition(self, l):
-        for bits in (BitWindow(1, 1), BitWindow(-1, 1), BitWindow(1, -1)):
-            got = shift_matrix(l, bits, 7)
-            want = block_matrix_oracle(l, bits.b_prev, bits.b_cur, 7)
-            assert np.array_equal(got, want)
+        rng = np.random.default_rng(l)
+        for n in (2, 5, 7):
+            if l > n:
+                continue
+            for s_i, s_k in sign_and_complex_pairs(n, rng):
+                table = _bit_table(*partial_sum_table(s_i, s_k))
+                for row, (b_prev, b_cur) in zip(table, BIT_PAIRS):
+                    assert abs(row[l] - quadratic_form(s_i, s_k, l, b_prev, b_cur)) < 1e-12
 
     def test_endpoints_are_signed_identities(self):
-        bits = BitWindow(-1, 1)
-        assert np.array_equal(shift_matrix(0, bits, 5), np.eye(5))
-        assert np.array_equal(shift_matrix(5, bits, 5), -np.eye(5))
+        # B(0) = b_cur*I and B(N) = b_prev*I
+        rng = np.random.default_rng(4)
+        s_i = random_unit_modulus(5, rng)
+        s_k = random_unit_modulus(5, rng)
+        inner = np.vdot(s_i, s_k)
+        table = _bit_table(*partial_sum_table(s_i, s_k))
+        for row, (b_prev, b_cur) in zip(table, BIT_PAIRS):
+            assert row[0] == pytest.approx(b_cur * inner, abs=1e-12)
+            assert row[5] == pytest.approx(b_prev * inner, abs=1e-12)
 
     def test_exactly_n_nonzeros(self):
-        mat = shift_matrix(3, BitWindow(1, -1), 6)
-        values = mat[mat != 0]
-        assert values.size == 6
-        assert set(values) <= {-1.0, 1.0}
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            shift_matrix(7, BitWindow(1, 1), 6)
-
-
-class TestBitWindow:
-    def test_rejects_other_values(self):
-        with pytest.raises(ValueError):
-            BitWindow(0, 1)
+        # B(l) holds b_prev on l entries and b_cur on the other N - l, so for
+        # the all-ones pair every row is b_prev*l + b_cur*(N - l)
+        n = 6
+        ones = np.ones(n)
+        l = np.arange(n + 1)
+        table = _bit_table(*partial_sum_table(ones, ones))
+        for row, (b_prev, b_cur) in zip(table, BIT_PAIRS):
+            assert np.array_equal(row, b_prev * l + b_cur * (n - l))
 
 
 class TestPartialSums:
+    """The bit-independent table (x, y) that both routes build from."""
+
     def test_all_ones_full_sum(self):
         ones = np.ones(2, dtype=complex)
-        first, second = partial_sums(ones, ones, BitWindow(1, 1), 0)
-        assert first == pytest.approx(2)
-        assert second == pytest.approx(2)
+        x, y = partial_sum_table(ones, ones)
+        assert np.array_equal(x, [0, 1, 2])
+        assert np.array_equal(y, [2, 1, 0])
 
     def test_l_zero_is_inner_product(self):
         rng = np.random.default_rng(5)
         s_i = random_unit_modulus(9, rng)
         s_k = random_unit_modulus(9, rng)
-        first, _ = partial_sums(s_i, s_k, BitWindow(1, 1), 0)
-        assert first == pytest.approx(np.vdot(s_i, s_k), abs=1e-12)
+        x, y = partial_sum_table(s_i, s_k)
+        inner = np.vdot(s_i, s_k)
+        assert x[0] == 0 and y[9] == 0
+        assert x[9] == pytest.approx(inner, abs=1e-12)
+        assert y[0] == pytest.approx(inner, abs=1e-12)
 
     def test_matches_matrix_quadratic_form(self):
+        # x[l] is s_i^* B(l; 1, 0) s_k and y[l] is s_i^* B(l; 0, 1) s_k
         rng = np.random.default_rng(6)
-        s_i = rng.choice([-1.0, 1.0], size=7).astype(complex)
-        s_k = rng.choice([-1.0, 1.0], size=7).astype(complex)
-        for l in range(7):
-            for bits in (BitWindow(1, 1), BitWindow(-1, 1), BitWindow(1, -1), BitWindow(-1, -1)):
-                first, second = partial_sums(s_i, s_k, bits, l)
-                b_l = block_matrix_oracle(l, bits.b_prev, bits.b_cur, 7)
-                b_l1 = block_matrix_oracle(l + 1, bits.b_prev, bits.b_cur, 7)
-                assert abs(first - s_i.conj() @ b_l @ s_k) < 1e-12
-                assert abs(second - s_i.conj() @ b_l1 @ s_k) < 1e-12
-
-    def test_out_of_range(self):
-        ones = np.ones(4, dtype=complex)
-        with pytest.raises(ValueError):
-            partial_sums(ones, ones, BitWindow(1, 1), 4)
+        for n in (2, 5, 7):
+            for s_i, s_k in sign_and_complex_pairs(n, rng):
+                x, y = partial_sum_table(s_i, s_k)
+                for l in range(n + 1):
+                    assert abs(x[l] - quadratic_form(s_i, s_k, l, 1, 0)) < 1e-12
+                    assert abs(y[l] - quadratic_form(s_i, s_k, l, 0, 1)) < 1e-12
 
 
 class TestGammaIntegral:
+    """The chip-interval integrals as interference_variance_direct sums them."""
+
     def test_hand_evaluated_all_ones(self):
+        # N = 2, Tc = 1: the bit-table rows are [2, 2, 2] for equal bits and
+        # [2, 0, -2] up to sign otherwise, so sum_l (|A_l|^2 + |A_{l+1}|^2 +
+        # Re A_l conj A_{l+1}) is 24 or 8, with mean 16 over the four pairs;
+        # Var_I = (P/4T) (Tc^3/3) 16 = 2/3
+        cfg = CdmaConfig(n_chips=2, n_users=2, symbol_duration=2.0)
         ones = np.ones(2, dtype=complex)
-        value = gamma_integral(ones, ones, BitWindow(1, 1), 0, chip_duration=1.0)
-        assert value == pytest.approx(4.0, rel=1e-14)
+        assert interference_variance_direct(cfg, [ones, ones], 1) == pytest.approx(
+            2.0 / 3.0, rel=1e-14)
 
     def test_zero_interferer(self):
         rng = np.random.default_rng(7)
+        cfg = CdmaConfig(n_chips=5, n_users=2, symbol_duration=1.5)
         s_i = random_unit_modulus(5, rng)
         zero = np.zeros(5, dtype=complex)
-        assert gamma_integral(s_i, zero, BitWindow(-1, 1), 2, 0.3) == 0.0
+        assert interference_variance_direct(cfg, [s_i, zero], 1) == 0.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
+        cfg = CdmaConfig(n_chips=6, n_users=2, symbol_duration=1.5)
         for _ in range(20):
-            s_i = random_unit_modulus(6, rng)
-            s_k = random_unit_modulus(6, rng)
-            bits = BitWindow(rng.choice([-1, 1]), rng.choice([-1, 1]))
-            l = int(rng.integers(0, 6))
-            assert gamma_integral(s_i, s_k, bits, l, 0.25) >= 0.0
+            pair = [random_unit_modulus(6, rng), random_unit_modulus(6, rng)]
+            assert interference_variance_direct(cfg, pair, 1) >= 0.0
 
     def test_against_midpoint_quadrature(self):
         rng = np.random.default_rng(9)
-        n, tc = 5, 0.2
-        s_i = random_unit_modulus(n, rng)
-        s_k = random_unit_modulus(n, rng)
-        for l in range(n):
-            for bits in (BitWindow(1, 1), BitWindow(-1, 1)):
-                a_l, a_l1 = partial_sums(s_i, s_k, bits, l)
-                grid = (np.arange(10_000) + 0.5) / 10_000 * tc + l * tc
-                integrand = np.abs((grid - l * tc) * a_l + ((l + 1) * tc - grid) * a_l1) ** 2
-                quad = float(np.mean(integrand) * tc)
-                closed = gamma_integral(s_i, s_k, bits, l, tc)
-                assert closed == pytest.approx(quad, rel=1e-6)
+        for n in (2, 5, 7):
+            cfg = CdmaConfig(n_chips=n, n_users=2, power=1.7, symbol_duration=0.6)
+            for s_i, s_k in sign_and_complex_pairs(n, rng):
+                direct = interference_variance_direct(cfg, [s_i, s_k], 1)
+                assert direct == pytest.approx(quadrature_variance(cfg, s_i, s_k), rel=1e-6)
 
 
 class TestVarianceEquivalence:

@@ -32,6 +32,32 @@ def test_public_callables_are_plain_functions(module):
             assert inspect.isfunction(obj), f"{module.__name__}.{name}"
 
 
+# the functions whose spans and return values the benchmark reads, under
+# their defining module; a trim that dropped one would leave a traced metric
+# with no spans and no test failing
+TRACED = {
+    optimizer: ["solve_local", "objective", "objective_gradient", "real_coupling_matrices",
+                "solve_multistart"],
+    spectral: ["coupling_matrices", "decompose"],
+    sequences: ["random_feasible_point", "gold_family"],
+    interference: ["snr", "s_m_terms", "partial_sum_table"],
+    metrics: ["correlation_peaks"],
+    simulator: ["estimate_snr"],
+    cli: ["main", "read_sequence_set"],
+}
+
+
+def test_traced_names_are_public_functions():
+    for module, names in TRACED.items():
+        for name in names:
+            obj = getattr(module, name)
+            assert name in module.__all__, f"{module.__name__}.{name}"
+            assert inspect.isfunction(obj), f"{module.__name__}.{name}"
+            assert obj.__module__ == module.__name__, f"{module.__name__}.{name}"
+    # the benchmark captures solve_multistart's reports through the CLI's binding
+    assert cli.solve_multistart is optimizer.solve_multistart
+
+
 @pytest.mark.parametrize("demo, extra", [
     ("01_spectral_model.py", []),
     ("02_baseline_families.py", []),

@@ -5,71 +5,71 @@ import pytest
 
 from spreadopt import simulator
 from spreadopt.interference import (
-    BitWindow,
     CdmaConfig,
+    _bit_table,
     interference_variance_direct,
     partial_sum_table,
 )
 from spreadopt.sequences import fzc_sequence, gold_pair, single_tone_sequence
-from spreadopt.simulator import MonteCarloDraw, estimate_snr, interference_sample
+from spreadopt.simulator import estimate_snr
 
 
 def random_unit_modulus(n, rng):
     return np.exp(2j * np.pi * rng.random(n))
 
 
+def kernel_sample(cfg, s_i, s_k, tau, b_prev, b_cur):
+    """|I~|^2 of one draw, computed by the kernel that estimate_snr runs."""
+    kernel = simulator._Kernel(_bit_table(*partial_sum_table(s_i, s_k)), cfg)
+    kernel.tau[0] = tau
+    kernel.offset[0] = (2 * (b_prev > 0) + (b_cur > 0)) * (cfg.n_chips + 1)
+    return float(kernel.evaluate(1)[0])
+
+
+def closed_form_sample(cfg, s_i, s_k, tau, b_prev, b_cur):
+    """|(tau - l Tc) A_l + ((l+1) Tc - tau) A_{l+1}|^2 with A from explicit partial sums."""
+    n, tc = cfg.n_chips, cfg.chip_duration
+
+    def a(m):
+        return b_prev * np.vdot(s_i[:m], s_k[n - m:]) + b_cur * np.vdot(s_i[m:], s_k[: n - m])
+
+    l = min(int(tau / tc), n - 1)
+    return abs((tau - l * tc) * a(l) + ((l + 1) * tc - tau) * a(l + 1)) ** 2
+
+
 class TestInterferenceSample:
+    """Per-draw |I~|^2 from _Kernel.evaluate."""
+
     def test_hand_evaluated_at_zero_delay(self):
         # N=2, Tc=1 (so T=2), all-ones pair, bits (+1,+1): the closed form at
         # tau=0, l=0 reduces to |0*A_0 + Tc*A_1|^2 = |2|^2 = 4
         cfg = CdmaConfig(n_chips=2, n_users=2, symbol_duration=2.0)
         ones = np.ones(2, dtype=complex)
-        draw = MonteCarloDraw(tau=0.0, psi=0.3, bits=BitWindow(1, 1))
-        assert interference_sample(cfg, ones, ones, draw) == pytest.approx(4.0, rel=1e-12)
+        assert kernel_sample(cfg, ones, ones, 0.0, 1, 1) == pytest.approx(4.0, rel=1e-12)
 
     def test_zero_interferer(self):
         cfg = CdmaConfig(n_chips=4, n_users=2)
         rng = np.random.default_rng(0)
         s_i = random_unit_modulus(4, rng)
         zero = np.zeros(4, dtype=complex)
-        draw = MonteCarloDraw(tau=0.6, psi=0.0, bits=BitWindow(-1, 1))
-        assert interference_sample(cfg, s_i, zero, draw) == 0.0
+        assert kernel_sample(cfg, s_i, zero, 0.6, -1, 1) == 0.0
 
     def test_nonnegative_everywhere(self):
+        # both the complex and the real (float64) combine path of the kernel
         cfg = CdmaConfig(n_chips=5, n_users=2)
         rng = np.random.default_rng(1)
-        s_i = random_unit_modulus(5, rng)
-        s_k = random_unit_modulus(5, rng)
-        for tau in np.linspace(0.0, 1.0, 37, endpoint=False):
-            draw = MonteCarloDraw(tau=float(tau), psi=0.0, bits=BitWindow(1, -1))
-            assert interference_sample(cfg, s_i, s_k, draw) >= 0.0
-
-    def test_delay_out_of_range(self):
-        cfg = CdmaConfig(n_chips=4, n_users=2)
-        ones = np.ones(4, dtype=complex)
-        with pytest.raises(ValueError):
-            interference_sample(cfg, ones, ones, MonteCarloDraw(1.0, 0.0, BitWindow(1, 1)))
-        with pytest.raises(ValueError):
-            interference_sample(cfg, ones, ones, MonteCarloDraw(-0.1, 0.0, BitWindow(1, 1)))
-
-    def test_mean_matches_analytic_value(self):
-        # sample mean of (P/4)|I~|^2 approaches the closed-form variance
-        cfg = CdmaConfig(n_chips=5, n_users=2)
-        rng = np.random.default_rng(2)
-        s_i = random_unit_modulus(5, rng)
-        s_k = random_unit_modulus(5, rng)
-        values = []
-        for _ in range(20000):
-            draw = MonteCarloDraw(
-                tau=float(rng.uniform(0, 1)),
-                psi=float(rng.uniform(0, 2 * np.pi)),
-                bits=BitWindow(int(rng.choice([-1, 1])), int(rng.choice([-1, 1]))),
-            )
-            values.append(interference_sample(cfg, s_i, s_k, draw))
-        est = 0.25 * cfg.power * np.mean(values)
-        stderr = 0.25 * cfg.power * np.std(values, ddof=1) / np.sqrt(len(values))
-        analytic = interference_variance_direct(cfg, [s_i, s_k], 1)
-        assert abs(est - analytic) <= 3 * stderr
+        pairs = [
+            (random_unit_modulus(5, rng), random_unit_modulus(5, rng)),
+            tuple(rng.choice([-1.0, 1.0], size=(2, 5)).astype(complex)),
+        ]
+        for s_i, s_k in pairs:
+            for tau in np.linspace(0.0, 1.0, 37, endpoint=False):
+                for b_prev in (-1, 1):
+                    for b_cur in (-1, 1):
+                        got = kernel_sample(cfg, s_i, s_k, tau, b_prev, b_cur)
+                        want = closed_form_sample(cfg, s_i, s_k, tau, b_prev, b_cur)
+                        assert got >= 0.0
+                        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 class TestEstimateSnr:
@@ -130,6 +130,13 @@ class TestEstimateSnr:
         expected = np.sqrt(var_d / (out.var_interference_mean + noise))
         assert out.snr_estimate == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_trials(self, integer):
+        cfg = CdmaConfig(n_chips=31, n_users=2)
+        pair = gold_pair(5)
+        out = estimate_snr(cfg, pair, 1, trials=integer(20000), seed=1)
+        assert out == estimate_snr(cfg, pair, 1, trials=20000, seed=1)
+
     def test_trials_floor(self):
         cfg = CdmaConfig(n_chips=8, n_users=2)
         pair = [np.ones(8, dtype=complex)] * 2
@@ -167,7 +174,7 @@ class TestRandomStream:
         ]
         for (s_i, s_k), real in zip(pairs, (False, True)):
             x, y = partial_sum_table(s_i, s_k)
-            kernel = simulator._Kernel(simulator._bit_table(x, y), cfg)
+            kernel = simulator._Kernel(_bit_table(x, y), cfg)
             assert kernel.real == real
             for seed, k, block in [(0, 2, 0), (123, 3, 1), (2**63 + 11, 2, 7)]:
                 sums = kernel.block_sums(seed, k, block, n_draws)
