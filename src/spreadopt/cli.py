@@ -292,8 +292,8 @@ def _report_payload(report, seed) -> dict:
         "e2": report.e2,
         "kkt_residual": report.kkt_residual,
         "iterations": report.iterations,
-        "restarts": len(report.restart_snrs),
-        "restarts_converged": int(sum(report.restart_converged)),
+        "restarts": len(report.restarts),
+        "restarts_converged": sum(r.converged for r in report.restarts),
     }
 
 
@@ -304,13 +304,9 @@ RESTARTS_HEADER = ["index", "seed", "iterations", "objective", "kkt", "e1", "e2"
 def _restart_rows(report) -> list[list[str]]:
     """One restarts.csv row per restart of a multi-restart report."""
     return [
-        [str(index), str(seed), str(iterations), repr(objective), repr(kkt),
-         repr(e1), repr(e2), str(int(converged)), status]
-        for index, (seed, iterations, objective, kkt, (e1, e2), converged, status)
-        in enumerate(zip(report.restart_seeds, report.restart_iterations,
-                         report.restart_objectives, report.restart_kkt,
-                         report.restart_errors, report.restart_converged,
-                         report.restart_statuses), start=1)
+        [str(index), str(r.seed), str(r.iterations), repr(r.objective), repr(r.kkt_residual),
+         repr(r.e1), repr(r.e2), str(int(r.converged)), r.status]
+        for index, r in enumerate(report.restarts, start=1)
     ]
 
 
@@ -329,7 +325,7 @@ def cmd_optimize(args) -> int:
     write_sequence_set(os.path.join(args.out, "sequences.json"), report.best_sequences)
     _write_json(os.path.join(args.out, "report.json"), _report_payload(report, args.seed))
     _write_csv(os.path.join(args.out, "restart_snrs.csv"), ["snr"],
-               [[repr(value)] for value in report.restart_snrs])
+               [[repr(r.snr)] for r in report.restarts])
     _write_csv(os.path.join(args.out, "restarts.csv"), RESTARTS_HEADER, _restart_rows(report))
     _write_manifest(args.out, "optimize", args, seed=args.seed)
     print(f"best snr: {report.snr}")

@@ -126,11 +126,12 @@ def partial_sum_table(s_i, s_k) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _check_user_set(cfg: CdmaConfig, sequences, i: int) -> list:
+def _check_user_set(cfg: CdmaConfig, sequences, i: int, chips_only: bool = False) -> list:
     """Validate a user set of chip sequences and/or SpectralCoeffs for user i.
 
     Returns the set with every chip sequence replaced by its chip vector;
-    SpectralCoeffs are passed through unchanged.
+    SpectralCoeffs are passed through unchanged, or rejected with a ValueError
+    when ``chips_only`` is set by a route that integrates over chips.
     """
     if len(sequences) != cfg.n_users:
         raise ValueError(
@@ -138,6 +139,9 @@ def _check_user_set(cfg: CdmaConfig, sequences, i: int) -> list:
         )
     if not 1 <= i <= cfg.n_users:
         raise ValueError(f"user index {i} out of range 1..{cfg.n_users}")
+    if chips_only and any(isinstance(s, SpectralCoeffs) for s in sequences):
+        raise ValueError("this route integrates over chips: it needs chip sequences, "
+                         "not SpectralCoeffs")
     users = [s if isinstance(s, SpectralCoeffs) else sequence_entries(s) for s in sequences]
     for u in users:
         n = u.n_chips if isinstance(u, SpectralCoeffs) else u.shape[0]
@@ -170,9 +174,10 @@ def interference_variance_direct(cfg: CdmaConfig, sequences, i: int) -> float:
     """Var_I for user i by explicit chip-interval integration and exact bit average.
 
     The bit expectation is the exact mean over the four (b_prev, b_cur) sign
-    pairs.  Returns 0 for a single-user system.
+    pairs.  ``sequences`` are chip sequences (SpectralCoeffs raise
+    ValueError).  Returns 0 for a single-user system.
     """
-    entries = _check_user_set(cfg, sequences, i)
+    entries = _check_user_set(cfg, sequences, i, chips_only=True)
     tc = cfg.chip_duration
     total = 0.0
     for k, sk in enumerate(entries, start=1):

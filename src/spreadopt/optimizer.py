@@ -26,8 +26,8 @@ inside a trust region.  A run counts as converged only if, measured after a
 sweep or step, the KKT residual and the constraint violation fall below the
 configured tolerances; anything else is reported as non-converged along with
 the last iterate.  The multi-restart driver draws an independent feasible
-starting point per restart (streams derived from the master seed) and keeps
-the best-SNR converged result.
+starting point per restart (streams derived from the master seed), keeps
+each restart's report and returns the best-SNR converged one.
 
 Each restart runs with numpy's bundled OpenBLAS pinned to one thread (the
 previous count is restored afterwards).  Multi-threaded OpenBLAS rounds the
@@ -47,9 +47,10 @@ import contextlib
 import ctypes
 import glob
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -208,6 +209,7 @@ class SolverConfig:
     ``max_iterations`` caps the sweeps plus Newton steps of one restart; at
     N = 31 a restart typically converges in 5 to 15.  The KKT and constraint
     tolerances decide convergence, measured after every sweep or step.
+    ``seed`` is any integer, numpy integers included; a float raises TypeError.
     """
 
     restarts: int = 1
@@ -217,6 +219,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        operator.index(self.seed)
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iterations < 1:
@@ -231,9 +234,11 @@ class SolverConfig:
 class SolveReport:
     """Outcome of a local solve or a multi-restart run.
 
-    The ``restart_*`` lists hold one entry per restart in restart order (a
-    single entry for a local solve); ``restart_seeds`` is filled by
-    solve_multistart and holds the seed of each restart's starting point.
+    ``seed`` is the seed of the starting point when solve_multistart drew it.
+    solve_multistart returns a copy of the best restart's report whose
+    ``restarts`` holds every restart's own report in restart order; the
+    ``restart_*`` properties read one entry per record, or the report itself
+    as its single restart when ``restarts`` is empty (a local solve).
     """
 
     n_chips: int
@@ -244,18 +249,27 @@ class SolveReport:
     e1: float
     e2: float
     iterations: int
-    restart_snrs: list[float]
-    restart_converged: list[bool]
-    converged: bool
     status: str
     kkt_residual: float
     objective_trace: list[float] = field(default_factory=list)
-    restart_errors: list[tuple[float, float]] = field(default_factory=list)
-    restart_iterations: list[int] = field(default_factory=list)
-    restart_objectives: list[float] = field(default_factory=list)
-    restart_kkt: list[float] = field(default_factory=list)
-    restart_statuses: list[str] = field(default_factory=list)
-    restart_seeds: list[int] = field(default_factory=list)
+    seed: int | None = None
+    restarts: list["SolveReport"] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
+
+    @property
+    def restart_snrs(self) -> list[float]:
+        return [r.snr for r in self.restarts or [self]]
+
+    @property
+    def restart_converged(self) -> list[bool]:
+        return [r.converged for r in self.restarts or [self]]
+
+    @property
+    def restart_errors(self) -> list[tuple[float, float]]:
+        return [(r.e1, r.e2) for r in self.restarts or [self]]
 
 
 def _project_spheres(z: np.ndarray, n_chips: int) -> np.ndarray:
@@ -278,7 +292,7 @@ def _kkt_residual_reduced(z: np.ndarray, n_chips: int) -> float:
     )
 
 
-def _report_from_stacked(z, n_chips, iterations, converged, status, kkt, trace):
+def _report_from_stacked(z, n_chips, iterations, status, kkt, trace):
     half = 2 * n_chips
     phi_hat_r = real_coupling_matrices(n_chips).phi_hat_r
     # beta computed by the same real matvec used in feasibility_errors, so a
@@ -308,17 +322,9 @@ def _report_from_stacked(z, n_chips, iterations, converged, status, kkt, trace):
         e1=e1,
         e2=e2,
         iterations=iterations,
-        restart_snrs=[scored.snr],
-        restart_converged=[converged],
-        converged=converged,
         status=status,
         kkt_residual=kkt,
         objective_trace=trace,
-        restart_errors=[(e1, e2)],
-        restart_iterations=[iterations],
-        restart_objectives=[scored.s_m_sum],
-        restart_kkt=[kkt],
-        restart_statuses=[status],
     )
 
 
@@ -519,17 +525,18 @@ def solve_local(
             break
         polishing = polishing or kkt > _PLATEAU_RATIO * previous_kkt
         previous_kkt = kkt
-    converged = status == "converged"
-    return _report_from_stacked(z, n_chips, iterations, converged, status, kkt, trace)
+    return _report_from_stacked(z, n_chips, iterations, status, kkt, trace)
 
 
 def restart_seed(master_seed: int, restart_index: int) -> int:
     """Seed of the feasible starting point used by restart ``restart_index``.
 
-    Exposed so an individual restart of a multi-restart run can be reproduced
-    with solve_local(random_feasible_point(n, 2, restart_seed(seed, t)), cfg).
+    ``master_seed`` is any integer, numpy integers included; a float raises
+    TypeError.  Restart t of a multi-restart run (``report.restarts[t-1]``,
+    whose ``seed`` this is) is reproduced by
+    solve_local(random_feasible_point(n, 2, restart_seed(seed, t)), cfg).
     """
-    seq = np.random.SeedSequence((int(master_seed) % 2**64, restart_index))
+    seq = np.random.SeedSequence((operator.index(master_seed) % 2**64, restart_index))
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -571,15 +578,10 @@ def _one_blas_thread():
 
 def _run_restart(args) -> SolveReport:
     n_chips, cfg, index = args
-    start = random_feasible_point(n_chips, 2, restart_seed(cfg.seed, index))
+    seed = restart_seed(cfg.seed, index)
+    start = random_feasible_point(n_chips, 2, seed)
     with _one_blas_thread():
-        return solve_local(start, cfg)
-
-
-_PER_RESTART = (
-    "restart_snrs", "restart_converged", "restart_errors", "restart_iterations",
-    "restart_objectives", "restart_kkt", "restart_statuses",
-)
+        return replace(solve_local(start, cfg), seed=seed)
 
 
 def solve_multistart(n_chips: int, cfg: SolverConfig, threads: int = 1) -> SolveReport:
@@ -587,8 +589,10 @@ def solve_multistart(n_chips: int, cfg: SolverConfig, threads: int = 1) -> Solve
 
     Restart t draws its start from a stream derived from (cfg.seed, t), so
     the outcome does not depend on ``threads``.  Ties in SNR keep the lowest
-    restart index.  If no restart converges the report of the best iterate is
-    returned with converged=False.
+    restart index.  The result is a copy of the best restart's report whose
+    ``restarts`` lists every restart's report, unmodified, in restart order.
+    If no restart converges the copy of the best iterate's report carries a
+    status saying so, and so is not converged.
     """
     jobs = [(n_chips, cfg, t) for t in range(1, cfg.restarts + 1)]
     if threads > 1 and len(jobs) > 1:
@@ -600,10 +604,5 @@ def solve_multistart(n_chips: int, cfg: SolverConfig, threads: int = 1) -> Solve
     eligible = [r for r in reports if r.converged]
     # max keeps the first of equal keys: ties go to the lowest restart index
     best = max(eligible or reports, key=lambda r: r.snr)
-    for name in _PER_RESTART:
-        setattr(best, name, [entry for r in reports for entry in getattr(r, name)])
-    best.restart_seeds = [restart_seed(cfg.seed, t) for t in range(1, cfg.restarts + 1)]
-    if not eligible:
-        best.converged = False
-        best.status = f"no restart converged in {cfg.restarts} attempts"
-    return best
+    status = best.status if eligible else f"no restart converged in {cfg.restarts} attempts"
+    return replace(best, status=status, restarts=reports)

@@ -56,21 +56,16 @@ class Lfsr:
 
     ``taps`` lists the exponents strictly between 0 and ``degree`` whose
     terms appear in the feedback polynomial; the x^d and 1 terms are implied.
-    The polynomial must be primitive: the register is required to run through
-    all 2^d - 1 nonzero states before repeating, which is checked at
-    construction.
+    The register starts from the all-ones state.  The polynomial must be
+    primitive: the register is required to run through all 2^d - 1 nonzero
+    states before repeating, which is checked at construction.
     """
 
-    def __init__(self, taps, degree: int, init_state=None):
+    def __init__(self, taps, degree: int):
         self.taps = tuple(sorted(taps))
         self.degree = int(degree)
         if any(not 0 < t < self.degree for t in self.taps):
             raise ValueError("tap exponents must lie strictly between 0 and degree")
-        if init_state is None:
-            init_state = (1,) * self.degree
-        self.init_state = tuple(int(b) & 1 for b in init_state)
-        if len(self.init_state) != self.degree or not any(self.init_state):
-            raise ValueError("init_state must be a nonzero bit vector of length degree")
         self._period_check()
 
     def _period_check(self):
@@ -78,7 +73,7 @@ class Lfsr:
         # feedback always includes a[i-d], so the state map is a bijection and
         # the initial state recurs within 2^d - 1 steps.
         period = 2**self.degree - 1
-        step = self._run(period + self.degree).tobytes().find(bytes(self.init_state), 1)
+        step = self._run(period + self.degree).tobytes().find(bytes([1] * self.degree), 1)
         if step != period:
             raise ValueError(
                 f"taps {self.taps} of degree {self.degree} are not primitive "
@@ -88,7 +83,7 @@ class Lfsr:
     def _run(self, length: int) -> np.ndarray:
         """The first ``length`` bits from the initial state."""
         out = np.empty(length, dtype=np.int8)
-        out[: self.degree] = self.init_state
+        out[: self.degree] = 1
         for i in range(self.degree, length):
             # recurrence a[i] = a[i-d] xor (xor of a[i-d+t] over taps)
             bit = out[i - self.degree]

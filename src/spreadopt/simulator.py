@@ -141,17 +141,19 @@ def estimate_snr(
     with independent draws per interferer; the reported standard error is the
     sample standard deviation of the per-trial values over sqrt(trials).
     The SNR estimate plugs the estimated variance into
-    sqrt(Var_D / (Var_I + N0*T/4)) with Var_D = P*T^2/2.  ``trials`` is any
-    integer of at least 100, numpy integers included.  Blocks run in turn
-    on the calling thread, because worker threads measured no faster than one.
+    sqrt(Var_D / (Var_I + N0*T/4)) with Var_D = P*T^2/2.  ``sequences`` are
+    chip sequences (SpectralCoeffs raise ValueError).  ``trials`` is any
+    integer of at least 100 and ``seed`` any integer, numpy integers included;
+    a float raises TypeError.  Blocks run in turn on the calling thread,
+    because worker threads measured no faster than one.
     """
     trials = operator.index(trials)
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    entries = _check_user_set(cfg, sequences, i)
+    entries = _check_user_set(cfg, sequences, i, chips_only=True)
 
     interferers = [k for k in range(1, cfg.n_users + 1) if k != i]
-    seed = int(seed) % 2**64
+    seed = operator.index(seed) % 2**64
     p, t, n0 = cfg.power, cfg.symbol_duration, cfg.noise_density
     var_d = p * t**2 / 2.0
     noise_var = n0 * t / 4.0

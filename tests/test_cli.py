@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spreadopt import __version__, cli
+from spreadopt import __version__, cli, optimizer
 from spreadopt.cli import main, read_sequence_set, write_sequence_set
 from spreadopt.interference import CdmaConfig, interference_variance_direct
 from spreadopt.optimizer import restart_seed
@@ -274,6 +274,32 @@ class TestOptimize:
                 assert float(row["e1"]) <= 1e-8 and float(row["e2"]) <= 1e-8
         best = [r for r in rows if float(r["objective"]) == report["objective"]]
         assert int(best[0]["iterations"]) == report["iterations"]
+
+    def test_collapsed_trust_region_in_restarts_csv(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(optimizer, "_polish_step", lambda z, value, radius, n: (z, value, 0.0))
+        out = tmp_path / "run"
+        code, _, stderr = run(capsys, "optimize", "--n", "8", "--restarts", "2", "--seed", "99",
+                              "--threads", "1", "--out", str(out))
+        assert code == 2
+        assert "FAILED: no restart converged in 2 attempts" in stderr
+        with open(out / "restarts.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["converged"] for r in rows] == ["0", "0"]
+        for row in rows:
+            assert row["status"].startswith(
+                "stopped without reaching tolerances: trust region collapsed (kkt=")
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False and report["restarts_converged"] == 0
+
+    def test_arithmetic_error_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def failing_solve(n_chips, cfg, threads=1):
+            raise ArithmeticError("overflow in the objective")
+
+        monkeypatch.setattr(cli, "solve_multistart", failing_solve)
+        code, _, stderr = run(capsys, "optimize", "--n", "8", "--restarts", "1",
+                              "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert stderr.startswith("numerical failure: overflow in the objective")
 
     @pytest.mark.parametrize("max_iter", ["0", "-5"])
     def test_invalid_max_iter_is_usage_error(self, tmp_path, capsys, max_iter):

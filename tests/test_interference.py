@@ -234,6 +234,12 @@ class TestUserSetValidation:
         with pytest.raises(ValueError, match="expected 3 sequences"):
             route(cfg, list(gold_pair(5)), 1)
 
+    @pytest.mark.parametrize("route", [interference_variance_direct, _estimate])
+    def test_chip_routes_reject_coefficients(self, route):
+        cfg = CdmaConfig(n_chips=31, n_users=2)
+        with pytest.raises(ValueError, match="needs chip sequences, not SpectralCoeffs"):
+            route(cfg, [decompose(s) for s in gold_pair(5)], 1)
+
     def test_chip_sequences_and_coefficients_agree(self):
         cfg = CdmaConfig(n_chips=31, n_users=2)
         pair = gold_pair(5)

@@ -206,6 +206,22 @@ class TestSolveLocal:
         assert "3" in report.status or "tolerances" in report.status
         assert realify(report.best_coeffs[0].alpha).shape == (32,)
 
+    def test_trust_region_collapse_reported(self, monkeypatch):
+        # a rejected step that shrinks the radius to 0 ends the polish
+        monkeypatch.setattr(optimizer, "_polish_step", lambda z, value, radius, n: (z, value, 0.0))
+        report = solve_local(random_feasible_point(8, 2, restart_seed(99, 2)), SolverConfig())
+        assert report.status.startswith(
+            "stopped without reaching tolerances: trust region collapsed (kkt=")
+        assert not report.converged
+        assert report.kkt_residual > 1e-9
+
+    def test_report_is_its_own_single_restart(self):
+        report = solve_local(random_feasible_point(8, 2, 5), SolverConfig())
+        assert report.seed is None and report.restarts == []
+        assert report.restart_snrs == [report.snr]
+        assert report.restart_converged == [True]
+        assert report.restart_errors == [(report.e1, report.e2)]
+
     def test_infeasible_start_rejected(self):
         point = random_feasible_point(8, 2, 1)
         bad = [
@@ -367,6 +383,45 @@ class TestSolveMultistart:
         report = solve_multistart(16, cfg)
         assert not report.converged
         assert "no restart converged" in report.status
+        # each restart keeps its own status
+        assert [r.status for r in report.restarts] == [
+            "iteration limit (2) without convergence"] * 2
+        assert report.restart_converged == [False, False]
+
+    def test_one_record_per_restart(self):
+        cfg = SolverConfig(restarts=3, seed=17)
+        report = solve_multistart(8, cfg)
+        assert [r.seed for r in report.restarts] == [restart_seed(17, t) for t in (1, 2, 3)]
+        for r in report.restarts:
+            local = solve_local(random_feasible_point(8, 2, r.seed), cfg)
+            assert (r.objective, r.iterations, r.status, r.kkt_residual) == (
+                local.objective, local.iterations, local.status, local.kkt_residual)
+            assert r.restarts == []
+        assert report.restart_snrs == [r.snr for r in report.restarts]
+        assert report.restart_converged == [r.converged for r in report.restarts]
+        assert report.restart_errors == [(r.e1, r.e2) for r in report.restarts]
+        best = report.restarts[report.restart_snrs.index(report.snr)]
+        assert report.seed == best.seed and report.iterations == best.iterations
+        assert report.best_sequences is best.best_sequences
+
+    @pytest.mark.parametrize("max_iterations", [5000, 2])
+    def test_restart_reports_left_unmodified(self, monkeypatch, max_iterations):
+        returned = []
+
+        def recording_run_restart(args):
+            report = run_restart(args)
+            returned.append((report, dict(vars(report)), len(report.objective_trace)))
+            return report
+
+        run_restart = optimizer._run_restart
+        monkeypatch.setattr(optimizer, "_run_restart", recording_run_restart)
+        cfg = SolverConfig(restarts=3, max_iterations=max_iterations, seed=23)
+        report = solve_multistart(8, cfg)
+        assert report.restarts == [r for r, _, _ in returned]
+        for r, fields, trace_length in returned:
+            assert report is not r
+            assert all(vars(r)[name] is value for name, value in fields.items())
+            assert r.restarts == [] and len(r.objective_trace) == trace_length
 
 
 class TestSolverConfig:
@@ -385,3 +440,24 @@ class TestSolverConfig:
             with pytest.raises(ValueError, match="max_iterations"):
                 SolverConfig(max_iterations=max_iterations)
         assert SolverConfig(max_iterations=1).max_iterations == 1
+        for seed in (1.5, 1.0):
+            with pytest.raises(TypeError):
+                SolverConfig(seed=seed)
+
+
+class TestRestartSeed:
+    def test_float_seed_rejected(self):
+        for seed in (1.9, 1.0):
+            with pytest.raises(TypeError):
+                restart_seed(seed, 1)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_seed(self, integer):
+        assert restart_seed(integer(9), 2) == restart_seed(9, 2)
+        assert restart_seed(integer(-3), 1) == restart_seed(-3, 1)
+        cfg = SolverConfig(restarts=2, seed=integer(9))
+        a = solve_multistart(8, cfg)
+        b = solve_multistart(8, SolverConfig(restarts=2, seed=9))
+        assert [r.seed for r in a.restarts] == [r.seed for r in b.restarts]
+        assert a.snr == b.snr
+        assert np.array_equal(a.best_coeffs[0].alpha, b.best_coeffs[0].alpha)

@@ -58,6 +58,26 @@ def test_traced_names_are_public_functions():
     assert cli.solve_multistart is optimizer.solve_multistart
 
 
+# the report attributes the benchmark reads: its correctness checks on the
+# report captured from cli.solve_multistart, and its tracer hook on each
+# solve_local result; a trim that dropped one would fail only in a benchmark run
+REPORT_ATTRIBUTES = {
+    "solve_multistart": ["restart_errors", "restart_converged", "restart_snrs"],
+    "solve_local": ["iterations", "converged"],
+}
+
+
+def test_benchmark_report_attributes_are_readable():
+    cfg = optimizer.SolverConfig(restarts=2, seed=1)
+    reports = {
+        "solve_multistart": optimizer.solve_multistart(8, cfg),
+        "solve_local": optimizer.solve_local(sequences.random_feasible_point(8, 2, 1), cfg),
+    }
+    for function, names in REPORT_ATTRIBUTES.items():
+        for name in names:
+            getattr(reports[function], name)
+
+
 @pytest.mark.parametrize("demo, extra", [
     ("01_spectral_model.py", []),
     ("02_baseline_families.py", []),

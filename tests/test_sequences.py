@@ -31,10 +31,6 @@ class TestLfsr:
         with pytest.raises(ValueError, match=r"not primitive \(period 6 < 15\)"):
             Lfsr((2,), 4)
 
-    def test_zero_state_rejected(self):
-        with pytest.raises(ValueError):
-            Lfsr((2,), 5, init_state=(0, 0, 0, 0, 0))
-
     def test_m_sequence_autocorrelation(self):
         for taps, degree in [((2,), 5), ((1,), 6), ((3,), 7)]:
             chips = 1.0 - 2.0 * Lfsr(taps, degree).bits().astype(float)

@@ -137,6 +137,19 @@ class TestEstimateSnr:
         out = estimate_snr(cfg, pair, 1, trials=integer(20000), seed=1)
         assert out == estimate_snr(cfg, pair, 1, trials=20000, seed=1)
 
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_seed(self, integer):
+        cfg = CdmaConfig(n_chips=31, n_users=2)
+        pair = gold_pair(5)
+        out = estimate_snr(cfg, pair, 1, trials=1000, seed=integer(7))
+        assert out == estimate_snr(cfg, pair, 1, trials=1000, seed=7)
+        assert type(out.seed) is int
+
+    @pytest.mark.parametrize("seed", [1.9, 1.0])
+    def test_float_seed_rejected(self, seed):
+        with pytest.raises(TypeError):
+            estimate_snr(CdmaConfig(n_chips=31, n_users=2), gold_pair(5), 1, 1000, seed=seed)
+
     def test_trials_floor(self):
         cfg = CdmaConfig(n_chips=8, n_users=2)
         pair = [np.ones(8, dtype=complex)] * 2
