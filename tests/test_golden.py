@@ -8,9 +8,11 @@ regenerates the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in its description.  The ``optimize`` case pins the files of an
-N = 8 design run; each restart runs with OpenBLAS pinned to one thread, so
-its bytes do not depend on the thread count.  The ``simulate_gold3`` case
+and says why in its description.  The ``optimize`` cases pin the files of two
+design runs: N = 8, where the trust-region polish does most of the work, and
+N = 31, the benchmark's size, where the block-minimizer sweeps take most of
+the iterations.  Each restart runs with OpenBLAS pinned to one thread, so
+their bytes do not depend on the thread count.  The ``simulate_gold3`` case
 has two interferers and a one-trial tail block, and passes ``--threads 2``,
 which simulate accepts and ignores.  The
 ``generate``, ``evaluate_csv``, ``scatter`` and ``simulate_out`` cases pin
@@ -30,6 +32,11 @@ from spreadopt.cli import main
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
 
 OPTIMIZE_FILES = ("sequences.json", "report.json", "restart_snrs.csv", "restarts.csv")
+
+OPTIMIZE_ARGS = {
+    "optimize_n8": ["--n", "8", "--restarts", "4", "--seed", "99"],
+    "optimize_n31": ["--n", "31", "--restarts", "4", "--seed", "20260810"],
+}
 
 
 def _stdout_of(argv) -> bytes:
@@ -74,10 +81,9 @@ def _case_outputs(case, workdir) -> dict[str, bytes]:
         _stdout_of(["generate", "gold", "--degree", "5", "--indices", "2,3,4", "--out", gold3])
         return {f"{case}.json": _stdout_of(["simulate", gold3, "--users", "1,2,3", "--threads", "2",
                                             "--trials", "8193", "--seed", "7"])}
-    if case == "optimize_n8":
+    if case in OPTIMIZE_ARGS:
         out = os.path.join(workdir, "run")
-        _stdout_of(["optimize", "--n", "8", "--restarts", "4", "--seed", "99",
-                    "--threads", "1", "--out", out])
+        _stdout_of(["optimize", *OPTIMIZE_ARGS[case], "--threads", "1", "--out", out])
         outputs = {}
         for name in OPTIMIZE_FILES:
             with open(os.path.join(out, name), "rb") as fh:
@@ -108,7 +114,7 @@ def _case_outputs(case, workdir) -> dict[str, bytes]:
 
 
 CASES = ("evaluate_gold", "evaluate_fzc127", "simulate_gold", "simulate_gold3", "optimize_n8",
-         "generate", "evaluate_csv", "scatter", "simulate_out")
+         "optimize_n31", "generate", "evaluate_csv", "scatter", "simulate_out")
 
 
 @pytest.mark.parametrize("case", CASES)
