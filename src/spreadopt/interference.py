@@ -36,6 +36,7 @@ Var_N = N0 T / 4 for white noise of two-sided density N0/2.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,7 +58,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CdmaConfig:
-    """System parameters.  chip_duration is always symbol_duration / n_chips."""
+    """System parameters.  chip_duration is always symbol_duration / n_chips.
+
+    ``n_chips`` and ``n_users`` are integers, numpy integers included; a float
+    raises TypeError.
+    """
 
     n_chips: int
     n_users: int
@@ -66,6 +71,8 @@ class CdmaConfig:
     noise_density: float = 0.0
 
     def __post_init__(self):
+        operator.index(self.n_chips)
+        operator.index(self.n_users)
         if self.n_chips < 2:
             raise ValueError("n_chips must be at least 2")
         if self.n_users < 1:

@@ -15,6 +15,12 @@ each:
 
     minimize f(a1, a2) = sum_m S_m(a1, a2)   s.t.  ||a_k||^2 = N,  k = 1, 2.
 
+Value, gradient and Hessian all read f's per-frequency terms from ``_terms``:
+b_k = phi_hat' a_k and the length-N vectors p, q, r, t = |a1|^2, |a2|^2,
+|b1|^2, |b2|^2, so that f = sum(w_alpha p q) + sum(w_beta r t).  The solver's
+iterate z is a (2, 2N) array whose row k is user k's stacked alpha; only the
+Newton model flattens it, to z.ravel().
+
 The local solver uses the problem's structure (block-coordinate and
 Riemannian Newton methods on spheres; Absil, Mahony & Sepulchre,
 Optimization Algorithms on Matrix Manifolds, 2008).  With one user fixed, f
@@ -115,17 +121,19 @@ def real_coupling_matrices(n_chips: int) -> RealCouplingMatrices:
     return _real_coupling_cached(n_chips)
 
 
-@lru_cache(maxsize=None)
-def _stacked_weights(n_chips: int) -> tuple[np.ndarray, np.ndarray]:
-    """The S_m weights repeated over the (Re; Im) stacking."""
-    stacked = tuple(np.concatenate([w, w]) for w in _weights(n_chips))
-    for w in stacked:
-        w.setflags(write=False)
-    return stacked
+def _twice(v: np.ndarray) -> np.ndarray:
+    """A per-frequency vector repeated over the (Re; Im) stacking."""
+    return np.concatenate([v, v])
 
 
-def _mags2(v: np.ndarray, n: int) -> np.ndarray:
-    return v[:n] ** 2 + v[n:] ** 2
+def _terms(a1: np.ndarray, a2: np.ndarray, n: int):
+    """phi_hat', b_k = phi_hat' a_k and f's per-frequency |a1|^2, |a2|^2, |b1|^2, |b2|^2."""
+    phi_hat_r = real_coupling_matrices(n).phi_hat_r
+    b1 = phi_hat_r @ a1
+    b2 = phi_hat_r @ a2
+    squares = np.square([a1, a2, b1, b2])
+    p, q, r, t = squares[:, :n] + squares[:, n:]
+    return phi_hat_r, b1, b2, p, q, r, t
 
 
 def _check_stacked(a1, a2, n_chips):
@@ -143,40 +151,24 @@ def objective(a1, a2, n_chips: int) -> float:
     swapping the users, and equals the complex-form sum of s_m_terms.
     """
     a1, a2 = _check_stacked(a1, a2, n_chips)
-    phi_hat_r = real_coupling_matrices(n_chips).phi_hat_r
     w_alpha, w_beta = _weights(n_chips)
-    b1 = phi_hat_r @ a1
-    b2 = phi_hat_r @ a2
-    n = n_chips
-    return float(
-        np.sum(w_alpha * _mags2(a1, n) * _mags2(a2, n))
-        + np.sum(w_beta * _mags2(b1, n) * _mags2(b2, n))
-    )
+    p, q, r, t = _terms(a1, a2, n_chips)[3:]
+    return float(np.sum(w_alpha * p * q) + np.sum(w_beta * r * t))
 
 
 def objective_gradient(a1, a2, n_chips: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of ``objective`` with respect to (a1, a2).
 
-    The beta contribution chains through the orthogonal coupling:
-    grad_a = 2 (w q)|a + phi_hat'^T [2 (w t)|b] with per-frequency weights
-    repeated over both stacked halves.
+    With the per-frequency terms of ``_terms``, the beta contribution chains
+    through the orthogonal coupling: grad_a1 = 2 (w_alpha q)|a1 +
+    phi_hat'^T [2 (w_beta t)|b1], and symmetrically for a2, with each
+    per-frequency product repeated over both stacked halves.
     """
     a1, a2 = _check_stacked(a1, a2, n_chips)
-    phi_hat_r = real_coupling_matrices(n_chips).phi_hat_r
-    w_alpha2, w_beta2 = _stacked_weights(n_chips)
-    n = n_chips
-    b1 = phi_hat_r @ a1
-    b2 = phi_hat_r @ a2
-    p = _mags2(a1, n)
-    q = _mags2(a2, n)
-    r = _mags2(b1, n)
-    t = _mags2(b2, n)
-    g1 = 2.0 * (w_alpha2 * np.concatenate([q, q])) * a1 + phi_hat_r.T @ (
-        2.0 * (w_beta2 * np.concatenate([t, t])) * b1
-    )
-    g2 = 2.0 * (w_alpha2 * np.concatenate([p, p])) * a2 + phi_hat_r.T @ (
-        2.0 * (w_beta2 * np.concatenate([r, r])) * b2
-    )
+    w_alpha, w_beta = _weights(n_chips)
+    phi_hat_r, b1, b2, p, q, r, t = _terms(a1, a2, n_chips)
+    g1 = 2.0 * _twice(w_alpha * q) * a1 + phi_hat_r.T @ (2.0 * _twice(w_beta * t) * b1)
+    g2 = 2.0 * _twice(w_alpha * p) * a2 + phi_hat_r.T @ (2.0 * _twice(w_beta * r) * b2)
     return g1, g2
 
 
@@ -209,7 +201,8 @@ class SolverConfig:
     ``max_iterations`` caps the sweeps plus Newton steps of one restart; at
     N = 31 a restart typically converges in 5 to 15.  The KKT and constraint
     tolerances decide convergence, measured after every sweep or step.
-    ``seed`` is any integer, numpy integers included; a float raises TypeError.
+    ``restarts``, ``max_iterations`` and ``seed`` are integers, numpy integers
+    included; a float raises TypeError.
     """
 
     restarts: int = 1
@@ -219,7 +212,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        operator.index(self.seed)
+        for value in (self.restarts, self.max_iterations, self.seed):
+            operator.index(value)
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iterations < 1:
@@ -273,34 +267,23 @@ class SolveReport:
 
 
 def _project_spheres(z: np.ndarray, n_chips: int) -> np.ndarray:
-    out = z.copy()
-    half = 2 * n_chips
-    out[:half] *= math.sqrt(n_chips) / np.linalg.norm(out[:half])
-    out[half:] *= math.sqrt(n_chips) / np.linalg.norm(out[half:])
-    return out
+    return np.array([a * (math.sqrt(n_chips) / np.linalg.norm(a)) for a in z])
 
 
 def _kkt_residual_reduced(z: np.ndarray, n_chips: int) -> float:
     """Max-abs Lagrangian gradient with least-squares multipliers."""
-    half = 2 * n_chips
-    a1, a2 = z[:half], z[half:]
-    g1, g2 = objective_gradient(a1, a2, n_chips)
-    lam1 = float(g1 @ a1) / (2.0 * float(a1 @ a1))
-    lam2 = float(g2 @ a2) / (2.0 * float(a2 @ a2))
-    return float(
-        max(np.max(np.abs(g1 - 2.0 * lam1 * a1)), np.max(np.abs(g2 - 2.0 * lam2 * a2)))
-    )
+    residuals = []
+    for a, g in zip(z, objective_gradient(z[0], z[1], n_chips)):
+        lam = float(g @ a) / (2.0 * float(a @ a))
+        residuals.append(np.max(np.abs(g - 2.0 * lam * a)))
+    return float(max(residuals))
 
 
 def _report_from_stacked(z, n_chips, iterations, status, kkt, trace):
-    half = 2 * n_chips
     phi_hat_r = real_coupling_matrices(n_chips).phi_hat_r
     # beta computed by the same real matvec used in feasibility_errors, so a
     # feasible reduced-form solution reports e2 = 0 exactly
-    coeffs = [
-        SpectralCoeffs(alpha=complexify(a), beta=complexify(phi_hat_r @ a))
-        for a in (z[:half], z[half:])
-    ]
+    coeffs = [SpectralCoeffs(alpha=complexify(a), beta=complexify(phi_hat_r @ a)) for a in z]
     seqs = [
         ChipSequence(
             reconstruct(c, "alpha"), label=f"optimized(N={n_chips},user={k + 1})"
@@ -337,10 +320,10 @@ def _block_minimizer(other: np.ndarray, n_chips: int) -> np.ndarray:
     so the minimizer is sqrt(N) times its bottom eigenvector.  The global
     phase is fixed by making the largest-magnitude entry real and positive.
     """
-    phi_hat = coupling_matrices(n_chips).phi_hat
+    coupling = coupling_matrices(n_chips)
     w_alpha, w_beta = _weights(n_chips)
-    beta = phi_hat @ other
-    h = (phi_hat.conj().T * (w_beta * np.abs(beta) ** 2)) @ phi_hat
+    beta = coupling.phi_hat @ other
+    h = (coupling.phi * (w_beta * np.abs(beta) ** 2)) @ coupling.phi_hat
     h[np.diag_indices(n_chips)] += w_alpha * np.abs(other) ** 2
     vec = np.linalg.eigh(h)[1][:, 0]
     top = vec[np.argmax(np.abs(vec))]
@@ -348,27 +331,26 @@ def _block_minimizer(other: np.ndarray, n_chips: int) -> np.ndarray:
 
 
 def _euclidean_hessian(z: np.ndarray, n_chips: int) -> np.ndarray:
-    """Exact Hessian of ``objective`` with respect to the stacked z = (a1; a2).
+    """Exact Hessian of ``objective`` at the iterate z = [a1, a2], flattened.
 
-    Blocks are assembled at size 2N so that no 4N x 4N matrix product is
-    formed.  ``pair`` spreads a per-frequency outer product over the (Re; Im)
-    stacking: entries (i, j) with i = j mod N.
+    The per-frequency terms come from ``_terms``, as in the value and the
+    gradient.  The 4N x 4N matrix is indexed like z.ravel(); its blocks are
+    assembled at size 2N so that no 4N x 4N matrix product is formed.
+    ``pair`` spreads a per-frequency outer product over the (Re; Im) stacking:
+    entries (i, j) with i = j mod N.
     """
     half = 2 * n_chips
-    phi_hat_r = real_coupling_matrices(n_chips).phi_hat_r
-    w_alpha2, w_beta2 = _stacked_weights(n_chips)
-    a1, a2 = z[:half], z[half:]
-    b1, b2 = phi_hat_r @ a1, phi_hat_r @ a2
-    p, q, r, t = (np.tile(_mags2(v, n_chips), 2) for v in (a1, a2, b1, b2))
+    a1, a2 = z
+    w_alpha, w_beta = _weights(n_chips)
+    phi_hat_r, b1, b2, p, q, r, t = _terms(a1, a2, n_chips)
     pair = np.tile(np.eye(n_chips), (2, 2))
-    cross = 4.0 * np.outer(w_alpha2 * a1, a2) * pair + phi_hat_r.T @ (
-        (4.0 * np.outer(w_beta2 * b1, b2) * pair) @ phi_hat_r
+    cross = 4.0 * np.outer(_twice(w_alpha) * a1, a2) * pair + phi_hat_r.T @ (
+        (4.0 * np.outer(_twice(w_beta) * b1, b2) * pair) @ phi_hat_r
     )
     hess = np.empty((2 * half, 2 * half))
-    hess[:half, :half] = (phi_hat_r.T * (2.0 * w_beta2 * t)) @ phi_hat_r
-    hess[half:, half:] = (phi_hat_r.T * (2.0 * w_beta2 * r)) @ phi_hat_r
-    hess[:half, :half][np.diag_indices(half)] += 2.0 * w_alpha2 * q
-    hess[half:, half:][np.diag_indices(half)] += 2.0 * w_alpha2 * p
+    for k, beta_other, alpha_other in ((slice(0, half), t, q), (slice(half, None), r, p)):
+        hess[k, k] = (phi_hat_r.T * _twice(2.0 * w_beta * beta_other)) @ phi_hat_r
+        hess[k, k][np.diag_indices(half)] += _twice(2.0 * w_alpha * alpha_other)
     hess[:half, half:] = cross
     hess[half:, :half] = cross.T
     return hess
@@ -386,21 +368,20 @@ def _newton_model(z: np.ndarray, n_chips: int):
     The Riemannian Hessian is the Euclidean one shifted by each user's
     Lagrange multiplier (2 lambda_k = g_k . a_k / ||a_k||^2) and projected onto
     the tangent space.  Returns the nonzero eigenvalues, their eigenvectors
-    and the Riemannian gradient's coordinates in that eigenbasis.
+    (indexed like z.ravel()) and the Riemannian gradient's coordinates in that
+    eigenbasis.
     """
     half = 2 * n_chips
-    grad = np.concatenate(objective_gradient(z[:half], z[half:], n_chips))
+    grads = objective_gradient(z[0], z[1], n_chips)
     hess = _euclidean_hessian(z, n_chips)
     blocks = [slice(0, half), slice(half, 2 * half)]
     projectors = []
-    for k in blocks:
-        a = z[k]
-        hess[k, k][np.diag_indices(half)] -= float(grad[k] @ a) / float(a @ a)
+    for k, a, g in zip(blocks, z, grads):
+        hess[k, k][np.diag_indices(half)] -= float(g @ a) / float(a @ a)
         u = a / np.linalg.norm(a)
         projectors.append(np.eye(half) - np.outer(u, u))
-    tangent_grad = np.empty_like(grad)
+    tangent_grad = np.concatenate([proj @ g for proj, g in zip(projectors, grads)])
     for k, proj_k in zip(blocks, projectors):
-        tangent_grad[k] = proj_k @ grad[k]
         for l, proj_l in zip(blocks, projectors):
             hess[k, l] = proj_k @ hess[k, l] @ proj_l
     vals, vecs = np.linalg.eigh(hess)
@@ -442,12 +423,11 @@ def _polish_step(z: np.ndarray, value: float, radius: float, n_chips: int):
     objective and the updated radius.  The radius rules and the acceptance
     threshold are those of Nocedal & Wright, Algorithm 4.1.
     """
-    half = 2 * n_chips
     vals, vecs, grad = _newton_model(z, n_chips)
     step = _trust_region_step(vals, grad, radius)
     predicted = -float(grad @ step + 0.5 * (vals * step) @ step)
-    trial = _project_spheres(z + vecs @ step, n_chips)
-    trial_value = objective(trial[:half], trial[half:], n_chips)
+    trial = _project_spheres(z + (vecs @ step).reshape(z.shape), n_chips)
+    trial_value = objective(trial[0], trial[1], n_chips)
     # near convergence both reductions fall to roundoff; the shift keeps their
     # ratio meaningful (the regularization of Manopt's trustregions solver)
     shift = 1e3 * np.finfo(float).eps * max(1.0, abs(value))
@@ -496,10 +476,9 @@ def solve_local(
             f"initial point is infeasible (e1={e1:.2e}, e2={e2:.2e}); "
             "start from random_feasible_point or an equivalent"
         )
-    z = np.concatenate([realify(initial[0].alpha), realify(initial[1].alpha)])
-    half = 2 * n_chips
-    a2 = complexify(z[half:])
-    value = objective(z[:half], z[half:], n_chips)
+    z = np.array([realify(coeffs.alpha) for coeffs in initial])
+    a2 = initial[1].alpha
+    value = objective(z[0], z[1], n_chips)
     trace = [value]
     previous_kkt = math.inf
     radius = 0.1 * math.sqrt(n_chips)
@@ -511,12 +490,11 @@ def solve_local(
         else:
             a1 = _block_minimizer(a2, n_chips)
             a2 = _block_minimizer(a1, n_chips)
-            z = np.concatenate([realify(a1), realify(a2)])
-            value = objective(z[:half], z[half:], n_chips)
+            z = np.array([realify(a1), realify(a2)])
+            value = objective(z[0], z[1], n_chips)
         trace.append(value)
         kkt = _kkt_residual_reduced(z, n_chips)
-        violation = max(abs(float(z[:half] @ z[:half]) - n_chips),
-                        abs(float(z[half:] @ z[half:]) - n_chips))
+        violation = max(abs(float(a @ a) - n_chips) for a in z)
         if kkt <= cfg.kkt_tolerance and violation <= cfg.constraint_tolerance:
             status = "converged"
             break

@@ -334,6 +334,16 @@ class TestSnr:
         assert s_sum == pytest.approx(0.3616038, rel=1e-6)
         assert (s_sum / (6.0 * n**2)) ** -0.5 == pytest.approx(target, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [31, 127, 1023])
+    def test_binary_baseline_pair(self, n):
+        # all-ones is an alpha-basis tone and the alternating sequence a
+        # beta-basis tone, so f = 1.5 N (1/N) + 0.5 N (1/N) = 2 exactly and the
+        # SNR is sqrt(6 N^2 / 2) = sqrt(3) N
+        pair = [np.ones(n, dtype=complex), (-1.0) ** np.arange(n) + 0j]
+        out = snr(CdmaConfig(n_chips=n, n_users=2), pair, 1)
+        assert out.s_m_sum == pytest.approx(2.0, rel=1e-13)
+        assert out.snr == pytest.approx(np.sqrt(3.0) * n, rel=1e-13)
+
     def test_snr_matches_s_m_sum_field(self):
         rng = np.random.default_rng(17)
         n = 8
@@ -367,3 +377,19 @@ class TestCdmaConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             CdmaConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(n_chips=31.0, n_users=2), dict(n_chips=31, n_users=2.0)]
+    )
+    def test_float_sizes_rejected(self, kwargs):
+        with pytest.raises(TypeError):
+            CdmaConfig(**kwargs)
+
+    def test_numpy_integer_sizes(self):
+        pair = gold_pair(5)
+        plain = CdmaConfig(n_chips=31, n_users=2)
+        numpy_sized = CdmaConfig(n_chips=np.int64(31), n_users=np.int64(2))
+        assert snr(numpy_sized, pair, 1) == snr(plain, pair, 1)
+        assert estimate_snr(numpy_sized, pair, 1, trials=5000, seed=3) == estimate_snr(
+            plain, pair, 1, trials=5000, seed=3
+        )

@@ -262,7 +262,7 @@ class TestEuclideanHessian:
             g_up = np.concatenate(objective_gradient(up[:2 * n], up[2 * n:], n))
             g_down = np.concatenate(objective_gradient(down[:2 * n], down[2 * n:], n))
             fd[:, i] = (g_up - g_down) / (2 * h)
-        hess = _euclidean_hessian(z, n)
+        hess = _euclidean_hessian(z.reshape(2, -1), n)
         scale = np.max(np.abs(fd))
         assert np.max(np.abs(hess - hess.T)) <= 1e-14 * scale
         assert np.max(np.abs(hess - fd)) <= 1e-6 * scale
@@ -308,8 +308,7 @@ class TestBlockMinimization:
         for _ in range(200):
             a1 = _block_minimizer(a2, n)
             a2 = _block_minimizer(a1, n)
-            history.append(_kkt_residual_reduced(
-                np.concatenate([realify(a1), realify(a2)]), n))
+            history.append(_kkt_residual_reduced(np.array([realify(a1), realify(a2)]), n))
         assert min(history[20:]) > 1e-7
         plateau = [coeffs_from_alpha(a1), coeffs_from_alpha(a2)]
         report = solve_local(plateau, SolverConfig())
@@ -443,6 +442,17 @@ class TestSolverConfig:
         for seed in (1.5, 1.0):
             with pytest.raises(TypeError):
                 SolverConfig(seed=seed)
+        for field in ("restarts", "max_iterations"):
+            for bad in (2.5, 2.0):
+                with pytest.raises(TypeError):
+                    SolverConfig(**{field: bad})
+
+    def test_numpy_integer_sizes(self):
+        cfg = SolverConfig(restarts=np.int64(2), max_iterations=np.int64(50), seed=np.int64(4))
+        report = solve_multistart(8, cfg)
+        expected = solve_multistart(8, SolverConfig(restarts=2, max_iterations=50, seed=4))
+        assert [r.objective for r in report.restarts] == [r.objective for r in expected.restarts]
+        assert report.status == expected.status
 
 
 class TestRestartSeed:

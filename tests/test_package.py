@@ -58,6 +58,24 @@ def test_traced_names_are_public_functions():
     assert cli.solve_multistart is optimizer.solve_multistart
 
 
+def test_solver_calls_the_traced_objective_names(monkeypatch):
+    # the benchmark's per-restart call counts of objective and
+    # objective_gradient read the spans of these module attributes; a solver
+    # that reached the value or gradient some other way would turn both to 0
+    calls = {"objective": 0, "objective_gradient": 0}
+    for name in calls:
+        original = getattr(optimizer, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(optimizer, name, counted)
+    optimizer.solve_local(sequences.random_feasible_point(8, 2, 1), optimizer.SolverConfig())
+    for name, count in calls.items():
+        assert count >= 1, name
+
+
 # the report attributes the benchmark reads: its correctness checks on the
 # report captured from cli.solve_multistart, and its tracer hook on each
 # solve_local result; a trim that dropped one would fail only in a benchmark run
