@@ -28,12 +28,14 @@ is a positive semidefinite Hermitian form in the other, so stage 1
 alternates exact block minimizers: sqrt(N) times a bottom eigenvector.  When
 a sweep stops shrinking the KKT residual, stage 2 polishes with Newton steps
 on the product of the two spheres, using the exact Hessian of the quartic f
-inside a trust region.  A run counts as converged only if, measured after a
-sweep or step, the KKT residual and the constraint violation fall below the
-configured tolerances; anything else is reported as non-converged along with
-the last iterate.  The multi-restart driver draws an independent feasible
-starting point per restart (streams derived from the master seed), keeps
-each restart's report and returns the best-SNR converged one.
+inside a trust region.  Each iterate's gradient is computed once and its
+Newton model built once: a rejected step keeps the iterate and its model.  A
+run counts as converged only if, measured after a sweep or step, the KKT
+residual and the constraint violation fall below the configured tolerances;
+anything else is reported as non-converged along with the last iterate.
+The multi-restart driver draws an independent feasible starting point per
+restart (streams derived from the master seed), keeps each restart's report
+and returns the best-SNR converged one.
 
 Each restart runs with numpy's bundled OpenBLAS pinned to one thread (the
 previous count is restored afterwards).  Multi-threaded OpenBLAS rounds the
@@ -270,12 +272,9 @@ def _project_spheres(z: np.ndarray, n_chips: int) -> np.ndarray:
     return np.array([a * (math.sqrt(n_chips) / np.linalg.norm(a)) for a in z])
 
 
-def _kkt_residual_reduced(z: np.ndarray, n_chips: int) -> float:
-    """Max-abs Lagrangian gradient with least-squares multipliers."""
-    residuals = []
-    for a, g in zip(z, objective_gradient(z[0], z[1], n_chips)):
-        lam = float(g @ a) / (2.0 * float(a @ a))
-        residuals.append(np.max(np.abs(g - 2.0 * lam * a)))
+def _kkt_residual_reduced(z: np.ndarray, grads) -> float:
+    """Max-abs Lagrangian gradient at z from its gradient, with least-squares multipliers."""
+    residuals = [np.max(np.abs(g - float(g @ a) / float(a @ a) * a)) for a, g in zip(z, grads)]
     return float(max(residuals))
 
 
@@ -331,15 +330,14 @@ def _block_minimizer(other: np.ndarray, n_chips: int) -> np.ndarray:
 
 
 def _euclidean_hessian(z: np.ndarray, n_chips: int) -> np.ndarray:
-    """Exact Hessian of ``objective`` at the iterate z = [a1, a2], flattened.
+    """Exact Hessian of ``objective`` at the iterate z = [a1, a2], by user.
 
     The per-frequency terms come from ``_terms``, as in the value and the
-    gradient.  The 4N x 4N matrix is indexed like z.ravel(); its blocks are
-    assembled at size 2N so that no 4N x 4N matrix product is formed.
+    gradient.  Entry [k, i, l, j] is d2f / dz[k, i] dz[l, j], so the 4N x 4N
+    reshape is indexed like z.ravel(); no 4N x 4N matrix product is formed.
     ``pair`` spreads a per-frequency outer product over the (Re; Im) stacking:
     entries (i, j) with i = j mod N.
     """
-    half = 2 * n_chips
     a1, a2 = z
     w_alpha, w_beta = _weights(n_chips)
     phi_hat_r, b1, b2, p, q, r, t = _terms(a1, a2, n_chips)
@@ -347,12 +345,12 @@ def _euclidean_hessian(z: np.ndarray, n_chips: int) -> np.ndarray:
     cross = 4.0 * np.outer(_twice(w_alpha) * a1, a2) * pair + phi_hat_r.T @ (
         (4.0 * np.outer(_twice(w_beta) * b1, b2) * pair) @ phi_hat_r
     )
-    hess = np.empty((2 * half, 2 * half))
-    for k, beta_other, alpha_other in ((slice(0, half), t, q), (slice(half, None), r, p)):
-        hess[k, k] = (phi_hat_r.T * _twice(2.0 * w_beta * beta_other)) @ phi_hat_r
-        hess[k, k][np.diag_indices(half)] += _twice(2.0 * w_alpha * alpha_other)
-    hess[:half, half:] = cross
-    hess[half:, :half] = cross.T
+    hess = np.empty((2, 2 * n_chips, 2, 2 * n_chips))
+    for k, beta_other, alpha_other in ((0, t, q), (1, r, p)):
+        hess[k, :, k] = (phi_hat_r.T * _twice(2.0 * w_beta * beta_other)) @ phi_hat_r
+        hess[k, :, k][np.diag_indices(2 * n_chips)] += _twice(2.0 * w_alpha * alpha_other)
+    hess[0, :, 1] = cross
+    hess[1, :, 0] = cross.T
     return hess
 
 
@@ -362,29 +360,27 @@ def _euclidean_hessian(z: np.ndarray, n_chips: int) -> np.ndarray:
 _HESSIAN_RCOND = 1e-10
 
 
-def _newton_model(z: np.ndarray, n_chips: int):
+def _newton_model(z: np.ndarray, grads, n_chips: int):
     """Eigen-decomposed second-order model of the objective on the two spheres.
 
     The Riemannian Hessian is the Euclidean one shifted by each user's
-    Lagrange multiplier (2 lambda_k = g_k . a_k / ||a_k||^2) and projected onto
-    the tangent space.  Returns the nonzero eigenvalues, their eigenvectors
-    (indexed like z.ravel()) and the Riemannian gradient's coordinates in that
-    eigenbasis.
+    Lagrange multiplier (2 lambda_k = g_k . a_k / ||a_k||^2, with g the
+    gradient ``grads`` at z) and projected onto the tangent space.  Returns
+    the nonzero eigenvalues, their eigenvectors (indexed like z.ravel()) and
+    the Riemannian gradient's coordinates in that eigenbasis.  It is built
+    once per iterate: a rejected step keeps z and so keeps its model.
     """
-    half = 2 * n_chips
-    grads = objective_gradient(z[0], z[1], n_chips)
     hess = _euclidean_hessian(z, n_chips)
-    blocks = [slice(0, half), slice(half, 2 * half)]
     projectors = []
-    for k, a, g in zip(blocks, z, grads):
-        hess[k, k][np.diag_indices(half)] -= float(g @ a) / float(a @ a)
+    for k, (a, g) in enumerate(zip(z, grads)):
+        hess[k, :, k][np.diag_indices(2 * n_chips)] -= float(g @ a) / float(a @ a)
         u = a / np.linalg.norm(a)
-        projectors.append(np.eye(half) - np.outer(u, u))
+        projectors.append(np.eye(2 * n_chips) - np.outer(u, u))
     tangent_grad = np.concatenate([proj @ g for proj, g in zip(projectors, grads)])
-    for k, proj_k in zip(blocks, projectors):
-        for l, proj_l in zip(blocks, projectors):
-            hess[k, l] = proj_k @ hess[k, l] @ proj_l
-    vals, vecs = np.linalg.eigh(hess)
+    for k, proj_k in enumerate(projectors):
+        for l, proj_l in enumerate(projectors):
+            hess[k, :, l] = proj_k @ hess[k, :, l] @ proj_l
+    vals, vecs = np.linalg.eigh(hess.reshape(4 * n_chips, 4 * n_chips))
     keep = np.abs(vals) > _HESSIAN_RCOND * np.max(np.abs(vals))
     vecs = vecs[:, keep]
     return vals[keep], vecs, vecs.T @ tangent_grad
@@ -416,14 +412,15 @@ def _trust_region_step(vals: np.ndarray, grad: np.ndarray, radius: float) -> np.
     return step
 
 
-def _polish_step(z: np.ndarray, value: float, radius: float, n_chips: int):
-    """One trust-region Newton step from z, whose objective is ``value``.
+def _polish_step(z: np.ndarray, value: float, radius: float, model, n_chips: int):
+    """One trust-region Newton step from z, whose objective is ``value`` and model ``model``.
 
-    Returns the next iterate (z itself when the step is rejected), its
-    objective and the updated radius.  The radius rules and the acceptance
-    threshold are those of Nocedal & Wright, Algorithm 4.1.
+    Returns the next iterate, its objective, the updated radius and the next
+    iterate's model: z itself and ``model`` when the step is rejected, None
+    when z moved.  The radius rules and the acceptance threshold are those of
+    Nocedal & Wright, Algorithm 4.1.
     """
-    vals, vecs, grad = _newton_model(z, n_chips)
+    vals, vecs, grad = model
     step = _trust_region_step(vals, grad, radius)
     predicted = -float(grad @ step + 0.5 * (vals * step) @ step)
     trial = _project_spheres(z + (vecs @ step).reshape(z.shape), n_chips)
@@ -438,8 +435,8 @@ def _polish_step(z: np.ndarray, value: float, radius: float, n_chips: int):
     elif ratio > 0.75 and length >= 0.9 * radius:
         radius = min(2.0 * radius, math.sqrt(n_chips))
     if ratio > 0.1:
-        return trial, trial_value, radius
-    return z, value, radius
+        return trial, trial_value, radius, None
+    return z, value, radius, model
 
 
 # a sweep that shrinks the KKT residual by less than this factor ends stage 1
@@ -483,17 +480,20 @@ def solve_local(
     previous_kkt = math.inf
     radius = 0.1 * math.sqrt(n_chips)
     polishing = False
+    model = None
     status = f"iteration limit ({cfg.max_iterations}) without convergence"
     for iterations in range(1, cfg.max_iterations + 1):
         if polishing:
-            z, value, radius = _polish_step(z, value, radius, n_chips)
+            model = model or _newton_model(z, grads, n_chips)
+            z, value, radius, model = _polish_step(z, value, radius, model, n_chips)
         else:
             a1 = _block_minimizer(a2, n_chips)
             a2 = _block_minimizer(a1, n_chips)
             z = np.array([realify(a1), realify(a2)])
             value = objective(z[0], z[1], n_chips)
         trace.append(value)
-        kkt = _kkt_residual_reduced(z, n_chips)
+        grads = objective_gradient(z[0], z[1], n_chips)
+        kkt = _kkt_residual_reduced(z, grads)
         violation = max(abs(float(a @ a) - n_chips) for a in z)
         if kkt <= cfg.kkt_tolerance and violation <= cfg.constraint_tolerance:
             status = "converged"
@@ -574,7 +574,7 @@ def solve_multistart(n_chips: int, cfg: SolverConfig, threads: int = 1) -> Solve
     """
     jobs = [(n_chips, cfg, t) for t in range(1, cfg.restarts + 1)]
     if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             reports = list(pool.map(_run_restart, jobs, chunksize=1))
     else:
         reports = [_run_restart(job) for job in jobs]

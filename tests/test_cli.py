@@ -276,7 +276,8 @@ class TestOptimize:
         assert int(best[0]["iterations"]) == report["iterations"]
 
     def test_collapsed_trust_region_in_restarts_csv(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(optimizer, "_polish_step", lambda z, value, radius, n: (z, value, 0.0))
+        monkeypatch.setattr(optimizer, "_polish_step",
+                            lambda z, value, radius, model, n: (z, value, 0.0, model))
         out = tmp_path / "run"
         code, _, stderr = run(capsys, "optimize", "--n", "8", "--restarts", "2", "--seed", "99",
                               "--threads", "1", "--out", str(out))

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from spreadopt.interference import (
     CdmaConfig,
     _bit_table,
+    _weights,
     interference_variance_direct,
     interference_variance_spectral,
     partial_sum_table,
@@ -13,7 +16,7 @@ from spreadopt.interference import (
 )
 from spreadopt.sequences import gold_pair
 from spreadopt.simulator import estimate_snr
-from spreadopt.spectral import SpectralCoeffs, decompose
+from spreadopt.spectral import SpectralCoeffs, _demodulation, decompose
 
 # (b_prev, b_cur) in the row order of _bit_table
 BIT_PAIRS = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
@@ -343,6 +346,26 @@ class TestSnr:
         out = snr(CdmaConfig(n_chips=n, n_users=2), pair, 1)
         assert out.s_m_sum == pytest.approx(2.0, rel=1e-13)
         assert out.snr == pytest.approx(np.sqrt(3.0) * n, rel=1e-13)
+
+    def test_exhaustive_binary_optimum(self):
+        # over every pair of +-1 sequences (first chip +1: negating a user
+        # leaves f unchanged) the pair sums are one matrix product of the
+        # per-frequency |alpha|^2 and |beta|^2 rows; the least is f = 2, that
+        # of the {all-ones, alternating} pair, at every N = 4..12
+        rng = np.random.default_rng(12)
+        for n in range(4, 13):
+            signs = np.array(list(itertools.product([1.0, -1.0], repeat=n - 1)))
+            chips = np.hstack([np.ones((len(signs), 1)), signs])
+            coeffs = np.fft.fft(chips[:, None, :] * _demodulation(n), norm="ortho")
+            p, q = np.transpose(np.abs(coeffs) ** 2, (1, 0, 2))
+            w_alpha, w_beta = _weights(n)
+            pair_sums = (p * w_alpha) @ p.T + (q * w_beta) @ q.T
+            for i, k in rng.integers(len(chips), size=(3, 2)):
+                cfg = CdmaConfig(n_chips=n, n_users=2)
+                expected = snr(cfg, [chips[i], chips[k]], 1).s_m_sum
+                assert pair_sums[i, k] == pytest.approx(expected, rel=1e-12)
+            np.fill_diagonal(pair_sums, np.inf)
+            assert abs(np.min(pair_sums) - 2.0) <= 1e-12
 
     def test_snr_matches_s_m_sum_field(self):
         rng = np.random.default_rng(17)

@@ -208,12 +208,34 @@ class TestSolveLocal:
 
     def test_trust_region_collapse_reported(self, monkeypatch):
         # a rejected step that shrinks the radius to 0 ends the polish
-        monkeypatch.setattr(optimizer, "_polish_step", lambda z, value, radius, n: (z, value, 0.0))
+        monkeypatch.setattr(optimizer, "_polish_step",
+                            lambda z, value, radius, model, n: (z, value, 0.0, model))
         report = solve_local(random_feasible_point(8, 2, restart_seed(99, 2)), SolverConfig())
         assert report.status.startswith(
             "stopped without reaching tolerances: trust region collapsed (kkt=")
         assert not report.converged
         assert report.kkt_residual > 1e-9
+
+    def test_newton_model_built_once_per_iterate(self, monkeypatch):
+        # a rejected step keeps the iterate, and the polish reuses its model
+        built, rejected = [], []
+        newton_model, polish_step = optimizer._newton_model, optimizer._polish_step
+
+        def recording_model(z, *args):
+            built.append(z.tobytes())
+            return newton_model(z, *args)
+
+        def counting_step(z, *args):
+            out = polish_step(z, *args)
+            rejected.append(out[0] is z)
+            return out
+
+        monkeypatch.setattr(optimizer, "_newton_model", recording_model)
+        monkeypatch.setattr(optimizer, "_polish_step", counting_step)
+        report = solve_local(random_feasible_point(8, 2, restart_seed(99, 4)), SolverConfig())
+        assert report.converged
+        assert any(rejected)
+        assert len(set(built)) == len(built) <= len(rejected) - sum(rejected) + 1
 
     def test_report_is_its_own_single_restart(self):
         report = solve_local(random_feasible_point(8, 2, 5), SolverConfig())
@@ -262,7 +284,7 @@ class TestEuclideanHessian:
             g_up = np.concatenate(objective_gradient(up[:2 * n], up[2 * n:], n))
             g_down = np.concatenate(objective_gradient(down[:2 * n], down[2 * n:], n))
             fd[:, i] = (g_up - g_down) / (2 * h)
-        hess = _euclidean_hessian(z.reshape(2, -1), n)
+        hess = _euclidean_hessian(z.reshape(2, -1), n).reshape(4 * n, 4 * n)
         scale = np.max(np.abs(fd))
         assert np.max(np.abs(hess - hess.T)) <= 1e-14 * scale
         assert np.max(np.abs(hess - fd)) <= 1e-6 * scale
@@ -308,7 +330,8 @@ class TestBlockMinimization:
         for _ in range(200):
             a1 = _block_minimizer(a2, n)
             a2 = _block_minimizer(a1, n)
-            history.append(_kkt_residual_reduced(np.array([realify(a1), realify(a2)]), n))
+            z = np.array([realify(a1), realify(a2)])
+            history.append(_kkt_residual_reduced(z, objective_gradient(z[0], z[1], n)))
         assert min(history[20:]) > 1e-7
         plateau = [coeffs_from_alpha(a1), coeffs_from_alpha(a2)]
         report = solve_local(plateau, SolverConfig())
@@ -343,6 +366,34 @@ class TestSolveMultistart:
             assert a.snr == other.snr
             assert np.array_equal(a.best_coeffs[0].alpha, other.best_coeffs[0].alpha)
             assert np.array_equal(a.best_coeffs[1].alpha, other.best_coeffs[1].alpha)
+
+    def test_pool_is_no_wider_than_the_restarts(self, monkeypatch):
+        # a fork pool starts all its workers at the first submit; this
+        # stand-in records the width and maps serially, starting no process
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        cfg = SolverConfig(restarts=2, seed=17)
+        serial = solve_multistart(8, cfg, threads=1)
+        monkeypatch.setattr(optimizer, "ProcessPoolExecutor", SerialPool)
+        pooled = solve_multistart(8, cfg, threads=8)
+        assert widths == [2]
+        assert pooled.restart_snrs == serial.restart_snrs
+        assert pooled.status == serial.status and pooled.snr == serial.snr
+        for a, b in zip(pooled.best_coeffs, serial.best_coeffs):
+            assert np.array_equal(a.alpha, b.alpha)
 
     def test_restarts_pin_one_blas_thread_and_restore_the_count(self, monkeypatch):
         blas = _openblas()
