@@ -116,7 +116,8 @@ def read_sequence_set(path: str) -> list[ChipSequence]:
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read sequence set {path!r}: {exc}") from exc
     try:
-        # JSON true/false decode to bool, which == and complex() take as 1 and 0
+        # JSON true/false decode to bool, which == and complex() take as 1 and 0;
+        # complex() raises OverflowError on an integer beyond the float range
         version = payload["format_version"]
         if isinstance(version, bool) or version != FORMAT_VERSION:
             raise CliError(f"unsupported format_version {version} in {path!r}")
@@ -134,7 +135,7 @@ def read_sequence_set(path: str) -> list[ChipSequence]:
             if not np.all(np.isfinite(entries.view(float))):
                 raise CliError(f"non-finite entries in {path!r}")
             sequences.append(ChipSequence(entries, label=str(item["label"])))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"malformed sequence set {path!r}: {exc}") from exc
     if not sequences:
         raise CliError(f"sequence set {path!r} is empty")

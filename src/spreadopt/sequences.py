@@ -3,7 +3,9 @@
 Three classical families serve as comparison baselines for the optimizer:
 
 * Gold codes - binary sequences built from a preferred pair of m-sequences,
-  (theta_a, theta_c) = (9, 9) at length 31;
+  (theta_a, theta_c) = (9, 9) at length 31.  ``_m_sequence`` runs one period
+  of each register of the pair in PREFERRED_TAPS, and the family is the two
+  m-sequences plus their chip-wise products over every cyclic shift;
 * Frank-Zadoff-Chu (FZC) polyphase sequences with perfect periodic
   autocorrelation, (theta_a, theta_c) = (0, sqrt(N)) for a coprime pair;
 * single complex tones exp(2*pi*j*k*n/N), which have zero crosscorrelation
@@ -23,7 +25,6 @@ from .spectral import SpectralCoeffs, coeffs_from_alpha
 
 __all__ = [
     "ChipSequence",
-    "Lfsr",
     "PREFERRED_TAPS",
     "gold_family",
     "gold_pair",
@@ -51,52 +52,6 @@ class ChipSequence:
         return self.entries.shape[0]
 
 
-class Lfsr:
-    """Fibonacci LFSR defined by the middle tap exponents of x^d + ... + 1.
-
-    ``taps`` lists the exponents strictly between 0 and ``degree`` whose
-    terms appear in the feedback polynomial; the x^d and 1 terms are implied.
-    The register starts from the all-ones state.  The polynomial must be
-    primitive: the register is required to run through all 2^d - 1 nonzero
-    states before repeating, which is checked at construction.
-    """
-
-    def __init__(self, taps, degree: int):
-        self.taps = tuple(sorted(taps))
-        self.degree = int(degree)
-        if any(not 0 < t < self.degree for t in self.taps):
-            raise ValueError("tap exponents must lie strictly between 0 and degree")
-        self._period_check()
-
-    def _period_check(self):
-        # The window of d bits at offset k is the state after k steps.  The
-        # feedback always includes a[i-d], so the state map is a bijection and
-        # the initial state recurs within 2^d - 1 steps.
-        period = 2**self.degree - 1
-        step = self._run(period + self.degree).tobytes().find(bytes([1] * self.degree), 1)
-        if step != period:
-            raise ValueError(
-                f"taps {self.taps} of degree {self.degree} are not primitive "
-                f"(period {step} < {period})"
-            )
-
-    def _run(self, length: int) -> np.ndarray:
-        """The first ``length`` bits from the initial state."""
-        out = np.empty(length, dtype=np.int8)
-        out[: self.degree] = 1
-        for i in range(self.degree, length):
-            # recurrence a[i] = a[i-d] xor (xor of a[i-d+t] over taps)
-            bit = out[i - self.degree]
-            for t in self.taps:
-                bit ^= out[i - self.degree + t]
-            out[i] = bit
-        return out
-
-    def bits(self) -> np.ndarray:
-        """One full period (2^degree - 1 bits) starting from the initial state."""
-        return self._run(2**self.degree - 1)
-
-
 # Preferred m-sequence pairs per register degree (middle tap exponents).
 # Degree 5: x^5+x^2+1 with x^5+x^4+x^3+x^2+1; the degree 6 and 7 pairs are
 # standard choices verified by the three-valued crosscorrelation tests.
@@ -111,9 +66,23 @@ PREFERRED_TAPS = {
 _CANONICAL_PAIR = (2, 3)
 
 
-def _bipolar(bits: np.ndarray) -> np.ndarray:
-    # bit 0 -> +1, bit 1 -> -1
-    return 1.0 - 2.0 * bits.astype(float)
+def _m_sequence(taps, degree: int) -> np.ndarray:
+    """One period (2^degree - 1 bits) of the Fibonacci LFSR of x^degree + ... + 1.
+
+    ``taps`` are the exponents strictly between 0 and ``degree`` of the
+    feedback polynomial's middle terms.  The register starts from the
+    all-ones state and runs a[i] = a[i-d] xor (xor of a[i-d+t] over taps).
+    The bits are an m-sequence only for a primitive polynomial, which the
+    tests check for every PREFERRED_TAPS entry.
+    """
+    out = np.empty(2**degree - 1, dtype=np.int8)
+    out[:degree] = 1
+    for i in range(degree, out.shape[0]):
+        bit = out[i - degree]
+        for t in taps:
+            bit ^= out[i - degree + t]
+        out[i] = bit
+    return out
 
 
 def gold_family(degree: int = 5) -> list[ChipSequence]:
@@ -129,9 +98,8 @@ def gold_family(degree: int = 5) -> list[ChipSequence]:
         raise ValueError(
             f"unsupported degree {degree}; available: {sorted(PREFERRED_TAPS)}"
         )
-    taps_a, taps_b = PREFERRED_TAPS[degree]
-    m1 = _bipolar(Lfsr(taps_a, degree).bits())
-    m2 = _bipolar(Lfsr(taps_b, degree).bits())
+    # bit 0 -> +1, bit 1 -> -1
+    m1, m2 = (1.0 - 2.0 * _m_sequence(taps, degree) for taps in PREFERRED_TAPS[degree])
     n = m1.shape[0]
     family = [
         ChipSequence(m1.astype(complex), label=f"gold(degree={degree},index=0)"),

@@ -21,7 +21,9 @@ Determinism contract: results are a pure function of (inputs, seed, trials).
 Trials are processed in fixed-size blocks; each (interferer, block) pair gets
 its own generator derived from the master seed, so the draws of a block do
 not depend on the blocks before it, and the block partial sums are combined
-with exact (compensated) summation in fixed block order.
+with exact (compensated) summation in fixed block order.  The module makes no
+BLAS call, so the results do not depend on the kernel, and so the rounding,
+that OpenBLAS picks for the CPU.
 """
 
 import math
@@ -125,7 +127,9 @@ class _Kernel:
         offset += bits[n_draws:]
         offset *= self.n_chips + 1
         values = self.evaluate(n_draws)
-        return float(np.sum(values)), float(np.dot(values, values))
+        # einsum, unlike np.dot, calls no BLAS, whose kernel and so whose
+        # rounding OpenBLAS picks by CPU
+        return float(np.sum(values)), float(np.einsum("i,i->", values, values))
 
 
 def estimate_snr(

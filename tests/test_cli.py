@@ -117,6 +117,22 @@ class TestSequenceSetFile:
         assert stdout == ""
         assert "n_chips must be a JSON integer" in stderr
 
+    @pytest.mark.parametrize("n_chips, sequences, message", [
+        (3, [[[1.0, 0.0], [0.0, 1.0]]], "sequence length mismatch"),
+        (2, [[[1e400, 0.0], [0.0, 1.0]]], "non-finite entries"),
+        (2, [], "is empty"),
+        (2, [[[10**400, 0], [0.0, 1.0]]], "malformed sequence set"),
+    ], ids=["length-mismatch", "non-finite", "empty", "integer-beyond-float"])
+    def test_invalid_contents_rejected(self, tmp_path, capsys, n_chips, sequences, message):
+        bad = tmp_path / "bad.json"
+        # json.dumps writes 1e400 as Infinity, which json.load reads back as inf
+        bad.write_text(json.dumps({"format_version": 1, "n_chips": n_chips, "sequences": [
+            {"label": "b", "entries": entries} for entries in sequences]}))
+        code, stdout, stderr = run(capsys, "evaluate", str(bad), "--users", "1")
+        assert code == 1
+        assert stdout == ""
+        assert message in stderr
+
 
 class TestEvaluate:
     def test_gold_pair_peaks(self, tmp_path, capsys):
@@ -497,6 +513,23 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "optimize", "--n", "8")[0] == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "fzc", "--n", "31", "--m", "1,x", "--out", "OUT"], "list of integers"),
+        (["generate", "tone", "--n", "31", "--k", ",", "--out", "OUT"], "at least one value"),
+        (["generate", "gold", "--indices", "0,33", "--out", "OUT"],
+         "gold index 33 out of range 0..32"),
+        (["evaluate", "GOLD", "--users", "1,1"], "duplicate user indices"),
+        (["optimize", "--n", "1", "--restarts", "1", "--out", "OUT"], "--n must be at least 2"),
+    ], ids=["non-integer-list", "empty-list", "gold-index", "duplicate-users", "optimize-n1"])
+    def test_invalid_flag_values(self, tmp_path, capsys, argv, message):
+        gold, _, _ = make_pair_files(tmp_path)
+        capsys.readouterr()
+        paths = {"GOLD": str(gold), "OUT": str(tmp_path / "out")}
+        code, stdout, stderr = run(capsys, *[paths.get(a, a) for a in argv])
+        assert code == 1
+        assert stdout == ""
+        assert message in stderr
 
 
 class TestParserReuse:

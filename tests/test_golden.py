@@ -12,7 +12,13 @@ and says why in its description.  The ``optimize`` cases pin the files of two
 design runs: N = 8, where the trust-region polish does most of the work, and
 N = 31, the benchmark's size, where the block-minimizer sweeps take most of
 the iterations.  Each restart runs with OpenBLAS pinned to one thread, so
-their bytes do not depend on the thread count.  The ``simulate_gold3`` case
+their bytes do not depend on the thread count.  They do depend on the kernel
+OpenBLAS picks for the CPU: the solver's ``eigh`` and matrix products round
+differently per kernel, and the fixtures were made under the SkylakeX kernel
+with numpy 2.4.6, so a mismatch names the kernel of the run.  Every other
+command makes no BLAS call whose result reaches its output, so its bytes are
+the same under every kernel; a subprocess test checks this for ``simulate``
+and ``evaluate``.  The ``simulate_gold3`` case
 has two interferers and a one-trial tail block, and passes ``--threads 2``,
 which simulate accepts and ignores.  The
 ``generate``, ``evaluate_csv``, ``scatter`` and ``simulate_out`` cases pin
@@ -21,15 +27,20 @@ carry a timestamp and absolute paths).
 """
 
 import contextlib
+import ctypes
+import glob
 import io
 import os
+import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spreadopt.cli import main
 
-GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN_DIR = os.path.join(ROOT, "tests", "data", "golden")
 
 OPTIMIZE_FILES = ("sequences.json", "report.json", "restart_snrs.csv", "restarts.csv")
 
@@ -117,11 +128,44 @@ CASES = ("evaluate_gold", "evaluate_fzc127", "simulate_gold", "simulate_gold3", 
          "optimize_n31", "generate", "evaluate_csv", "scatter", "simulate_out")
 
 
+def _openblas_core() -> str:
+    """The kernel numpy's bundled scipy-openblas picked for this CPU."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown (no scipy-openblas found)"
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_cli_output_matches_golden(case, tmp_path):
     for name, data in _case_outputs(case, str(tmp_path)).items():
         with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
-            assert data == fh.read(), name
+            assert data == fh.read(), (
+                f"{name}: made under OpenBLAS kernel SkylakeX, run under {_openblas_core()}"
+                if case in OPTIMIZE_ARGS else name)
+
+
+def test_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
+    gold, fzc = _inputs(str(tmp_path))
+    script = (
+        "from spreadopt.cli import main\n"
+        f"main(['simulate', {gold!r}, '--users', '1,2', '--threads', '1',"
+        " '--trials', '20000', '--seed', '123'])\n"
+        f"main(['evaluate', {fzc!r}, '--users', '1,2'])\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")])
+    outputs = [
+        subprocess.run([sys.executable, "-c", script], env=dict(env, **extra), cwd=tmp_path,
+                       capture_output=True, check=True).stdout
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"})
+    ]
+    assert outputs[0] == outputs[1]
 
 
 def _regenerate():

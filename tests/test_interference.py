@@ -279,6 +279,8 @@ class TestSmTerms:
         c_k = SpectralCoeffs(alpha=np.ones(5), beta=np.ones(5))
         with pytest.raises(ValueError):
             s_m_terms(c_i, c_k)
+        with pytest.raises(ValueError, match="equal length"):
+            partial_sum_table(np.ones(4), np.ones(5))
 
 
 class TestSpectralPhases:

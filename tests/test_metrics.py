@@ -170,8 +170,16 @@ class TestCorrelationPeaks:
             assert np.max(np.abs(np.subtract(got, expected))) < 1e-12 * n * k**2
 
     def test_mixed_lengths_rejected(self):
+        c4, c5 = decompose(np.ones(4)), decompose(np.ones(5))
         with pytest.raises(ValueError):
-            correlation_peaks([decompose(np.ones(4)), decompose(np.ones(5))])
+            correlation_peaks([c4, c5])
+        for correlation in (periodic_correlation, aperiodic_correlation):
+            with pytest.raises(ValueError, match="equal length"):
+                correlation(c4, c5, 0)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            correlation_peaks([])
 
 
 class TestSarwate:

@@ -52,6 +52,8 @@ class TestRealify:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             complexify(np.ones(5))
+        with pytest.raises(ValueError, match="1-D"):
+            realify(np.ones((2, 3)))
 
 
 class TestRealCoupling:
@@ -161,6 +163,10 @@ class TestFeasibilityErrors:
         _, e2 = feasibility_errors([broken])
         assert e2 == pytest.approx(0.01, rel=1e-6)
 
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one user"):
+            feasibility_errors([])
+
 
 class TestSolveLocal:
     def test_converges_at_n8(self):
@@ -256,6 +262,9 @@ class TestSolveLocal:
     def test_needs_two_users(self):
         with pytest.raises(ValueError):
             solve_local(random_feasible_point(8, 3, 1), SolverConfig())
+        mixed = [random_feasible_point(8, 1, 1)[0], random_feasible_point(6, 1, 1)[0]]
+        with pytest.raises(ValueError, match="share n_chips"):
+            solve_local(mixed, SolverConfig())
 
     def test_emitted_sequences_satisfy_coupling_literally(self):
         # the report's e2 is 0 by construction (beta = phi_hat' alpha); here the
@@ -416,6 +425,12 @@ class TestSolveMultistart:
         finally:
             set_(original)
         assert seen == [1, 1]
+
+    def test_restarts_run_where_no_openblas_is_found(self, monkeypatch):
+        cfg = SolverConfig(restarts=1, seed=17)
+        expected = solve_multistart(8, cfg)
+        monkeypatch.setattr(optimizer, "_openblas", lambda: None)
+        assert solve_multistart(8, cfg).objective == expected.objective
 
     def test_best_of_converged_selected(self):
         cfg = SolverConfig(restarts=4, seed=23)

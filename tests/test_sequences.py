@@ -4,8 +4,9 @@ import pytest
 from spreadopt.metrics import correlation_peaks
 from spreadopt.optimizer import feasibility_errors
 from spreadopt.sequences import (
+    PREFERRED_TAPS,
     ChipSequence,
-    Lfsr,
+    _m_sequence,
     fzc_sequence,
     gold_family,
     gold_pair,
@@ -23,20 +24,26 @@ def circular_correlation(a, b):
 
 class TestLfsr:
     def test_primitive_taps_accepted(self):
-        seq = Lfsr((2,), 5).bits()
+        # x^5 + x^2 + 1 is primitive: one period of 31 bits with 16 ones
+        seq = _m_sequence((2,), 5)
         assert seq.shape == (31,)
-
-    def test_non_primitive_taps_rejected(self):
-        # x^4 + x^2 + 1 = (x^2 + x + 1)^2 has period 6, not 15
-        with pytest.raises(ValueError, match=r"not primitive \(period 6 < 15\)"):
-            Lfsr((2,), 4)
+        assert int(seq.sum()) == 16
 
     def test_m_sequence_autocorrelation(self):
-        for taps, degree in [((2,), 5), ((1,), 6), ((3,), 7)]:
-            chips = 1.0 - 2.0 * Lfsr(taps, degree).bits().astype(float)
-            corr = circular_correlation(chips, chips)
-            assert corr[0] == pytest.approx(len(chips))
-            assert np.allclose(corr[1:], -1.0, atol=1e-9)
+        # two-valued (N, -1) periodic autocorrelation holds only for an
+        # m-sequence, so this checks that every preferred tap set is primitive
+        for degree, pair in PREFERRED_TAPS.items():
+            for taps in pair:
+                chips = 1.0 - 2.0 * _m_sequence(taps, degree).astype(float)
+                assert chips.shape == (2**degree - 1,)
+                corr = circular_correlation(chips, chips)
+                assert corr[0] == pytest.approx(len(chips))
+                assert np.allclose(corr[1:], -1.0, atol=1e-9)
+
+    def test_non_primitive_taps_fail_the_check(self):
+        # x^4 + x^2 + 1 = (x^2 + x + 1)^2 has period 6, not 15
+        chips = 1.0 - 2.0 * _m_sequence((2,), 4).astype(float)
+        assert not np.allclose(circular_correlation(chips, chips)[1:], -1.0, atol=1e-9)
 
 
 class TestGoldFamily:
@@ -110,6 +117,8 @@ class TestFzc:
             fzc_sequence(31, 31)
         with pytest.raises(ValueError):
             fzc_sequence(12, 4)
+        with pytest.raises(ValueError, match="at least 2"):
+            fzc_sequence(1, 1)
 
 
 class TestSingleTone:
@@ -135,6 +144,8 @@ class TestSingleTone:
             single_tone_sequence(8, 8)
         with pytest.raises(ValueError):
             single_tone_sequence(8, -1)
+        with pytest.raises(ValueError, match="at least 2"):
+            single_tone_sequence(1, 0)
 
 
 class TestRandomFeasiblePoint:
@@ -157,6 +168,11 @@ class TestRandomFeasiblePoint:
         for x, y in zip(a, b):
             assert np.array_equal(x.alpha, y.alpha)
             assert np.array_equal(x.beta, y.beta)
+
+    @pytest.mark.parametrize("n_chips, n_users", [(8, 0), (1, 1)])
+    def test_sizes_checked(self, n_chips, n_users):
+        with pytest.raises(ValueError, match="at least"):
+            random_feasible_point(n_chips, n_users, 0)
 
     def test_distinct_seeds_distinct_points(self):
         rng = np.random.default_rng(0)

@@ -169,7 +169,7 @@ def _reference_block_sums(x, y, k_index, block, n_draws, cfg, seed):
     a_lo = b_prev * x[l] + b_cur * y[l]
     a_hi = b_prev * x[l + 1] + b_cur * y[l + 1]
     values = np.abs((tau - l * tc) * a_lo + ((l + 1) * tc - tau) * a_hi) ** 2
-    return float(np.sum(values)), float(np.dot(values, values))
+    return float(np.sum(values)), float(np.einsum("i,i->", values, values))
 
 
 class TestRandomStream:
@@ -214,18 +214,20 @@ def _pinned_pair(n, kind):
 class TestPinnedEstimates:
     """estimate_snr bits at N = 5, 31 and 127, for a real and a complex pair.
 
-    The values were computed by the unbuffered kernel that drew the bits as
-    one (2, n) array and combined every pair in complex arithmetic; 20001
-    trials make two full blocks and a partial one.
+    The means were computed by the unbuffered kernel that drew the bits as
+    one (2, n) array and combined every pair in complex arithmetic; the
+    standard errors by the kernel that sums squares without BLAS, so they
+    hold under every OpenBLAS kernel.  20001 trials make two full blocks and
+    a partial one.
     """
 
     PINNED = {
-        (5, "pm1"): (0.061614717582036, 0.0003923215886574961),
-        (5, "complex"): (0.02941281742780012, 0.00023129506646173216),
-        (31, "pm1"): (0.005215094698283199, 5.201985361327021e-05),
-        (31, "complex"): (0.004435434132156012, 2.5186960165357855e-05),
-        (127, "pm1"): (0.0009354404842633701, 9.686004419396598e-06),
-        (127, "complex"): (0.001154706828840556, 8.124344454723392e-06),
+        (5, "pm1"): (0.061614717582036, 0.0003923215886574986),
+        (5, "complex"): (0.02941281742780012, 0.0002312950664617319),
+        (31, "pm1"): (0.005215094698283199, 5.201985361327028e-05),
+        (31, "complex"): (0.004435434132156012, 2.518696016535781e-05),
+        (127, "pm1"): (0.0009354404842633701, 9.686004419396591e-06),
+        (127, "complex"): (0.001154706828840556, 8.12434445472339e-06),
     }
 
     @pytest.mark.parametrize("n, kind", sorted(PINNED))

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from spreadopt import spectral
 from spreadopt.spectral import (
     SpectralCoeffs,
     basis_vector,
@@ -100,6 +101,14 @@ class TestDecompose:
     def test_too_short(self):
         with pytest.raises(ValueError):
             decompose(np.array([1.0]))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            decompose(np.ones((2, 4)))
+
+    @pytest.mark.parametrize("alpha, beta", [(np.ones(4), np.ones(5)),
+                                             (np.ones((2, 2)), np.ones((2, 2)))])
+    def test_coefficient_shapes_checked(self, alpha, beta):
+        with pytest.raises(ValueError, match="1-D vectors of equal length"):
+            SpectralCoeffs(alpha=alpha, beta=beta)
 
 
 class TestReconstruct:
@@ -178,3 +187,14 @@ class TestCouplingMatrices:
     def test_too_small(self):
         with pytest.raises(ValueError):
             coupling_matrices(1)
+
+    def test_failed_unitarity_check_is_arithmetic_error(self, monkeypatch):
+        # no deviation is below a negative tolerance; the cache is cleared
+        # around the call so that the check runs and no later test sees it
+        monkeypatch.setattr(spectral, "UNITARITY_TOL", -1.0)
+        spectral._coupling_cached.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="unitarity check at N=5"):
+                coupling_matrices(5)
+        finally:
+            spectral._coupling_cached.cache_clear()
