@@ -3,9 +3,11 @@
 The full campaign runs 10000 restarts (about two minutes on a single core;
 scale with --restarts for a shorter look).  It reports the best SNR found,
 writes the per-restart SNR values to a CSV for histogramming, and applies the
-one gate this campaign is judged on: at least 5 distinct local SNR values (at
-1e-3 resolution) among the converged restarts, i.e. the landscape genuinely
-has many local solutions.
+one gate this campaign is judged on: at least 5 distinct SNR values (at 1e-3
+resolution) among the converged restarts.  The count measures where restarts
+stop on the numerical floor, not how many local minima there are: in a
+200-restart census every converged restart had its own value, with
+objectives from 3.6e-18 to 7.3e-12.
 
 Historical reference: an earlier SLSQP campaign of the same shape reported a
 best SNR of 126.276 at N=31.  This implementation routinely exceeds that by
@@ -49,6 +51,6 @@ print(f"restarts:            {args.restarts} ({len(converged)} converged) "
 print(f"best snr:            {report.snr:.6g}")
 print(f"best objective:      {report.objective:.3e}")
 print(f"feasibility:         e1={report.e1:.2e}  e2={report.e2:.2e}")
-print(f"distinct local SNRs: {distinct} (gate: >= 5) -> "
+print(f"distinct SNRs:       {distinct} endpoints, not minima (gate: >= 5) -> "
       f"{'PASS' if distinct >= 5 else 'FAIL'}")
 print(f"per-restart SNRs written to {args.out} (histogram-ready)")

@@ -18,6 +18,7 @@ import csv
 import datetime
 import itertools
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -37,11 +38,6 @@ __all__ = ["main", "read_sequence_set", "write_sequence_set"]
 
 FORMAT_VERSION = 1
 _JSON_NUMBERS = frozenset((int, float))
-
-# default physical parameters: P and T cancel in the noiseless SNR
-DEFAULT_POWER = 1.0
-DEFAULT_SYMBOL_DURATION = 1.0
-DEFAULT_NOISE = 0.0
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,11 +76,17 @@ def _output_dir(path: str) -> None:
         raise CliError(f"cannot create directory {path!r}: {exc.strerror or exc}") from exc
 
 
-def _write_json(path: str, payload, **options) -> None:
-    """Write payload as indented JSON plus a final newline; options go to json.dump."""
+def _json_text(payload, **options) -> str:
+    """payload as indented JSON plus a final newline; options go to json.dumps.
+
+    A NaN or infinity anywhere in payload raises ValueError, as it is not JSON.
+    """
+    return json.dumps(payload, indent=2, allow_nan=False, **options) + "\n"
+
+
+def _write_text(path: str, text: str) -> None:
     with _output_file(path) as fh:
-        json.dump(payload, fh, indent=2, **options)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -96,7 +98,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def write_sequence_set(path: str, sequences: list[ChipSequence]) -> None:
     """Serialize a sequence set; floats keep full round-trip precision."""
-    _write_json(path, {
+    _write_text(path, _json_text({
         "format_version": FORMAT_VERSION,
         "n_chips": sequences[0].n_chips,
         "sequences": [
@@ -106,14 +108,14 @@ def write_sequence_set(path: str, sequences: list[ChipSequence]) -> None:
             }
             for s in sequences
         ],
-    })
+    }))
 
 
 def read_sequence_set(path: str) -> list[ChipSequence]:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding errors are ValueErrors
         raise CliError(f"cannot read sequence set {path!r}: {exc}") from exc
     try:
         # JSON true/false decode to bool, which == and complex() take as 1 and 0;
@@ -142,24 +144,19 @@ def read_sequence_set(path: str) -> list[ChipSequence]:
     return sequences
 
 
-def _write_manifest(directory: str, command: str, args: argparse.Namespace, seed) -> None:
-    _write_json(os.path.join(directory, "manifest.json"), {
-        "command": command,
+def _write_manifest(directory: str, args: argparse.Namespace) -> None:
+    _write_text(os.path.join(directory, "manifest.json"), _json_text({
+        "command": args.command,
         "flags": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }, default=str)
+    }, default=str))
 
 
-def _print_json(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
-def _snr_value(unbounded: bool, value: float) -> object:
-    """An SNR for output: the value, or the marker "unbounded"."""
-    return "unbounded" if unbounded else value
+def _snr_value(value: float) -> object:
+    """An SNR for output: the value, or the marker "unbounded" for an infinite one."""
+    return "unbounded" if value == math.inf else value
 
 
 CSV_HEADER = ["label", "theta_a", "theta_c", "theta_hat_a", "theta_hat_c", "snr"]
@@ -170,7 +167,7 @@ def _csv_row(label: str, peaks, breakdown) -> list[str]:
     return [
         label, repr(peaks.theta_a), repr(peaks.theta_c),
         repr(peaks.theta_hat_a), repr(peaks.theta_hat_c),
-        str(_snr_value(breakdown.unbounded, breakdown.snr)),
+        str(_snr_value(breakdown.snr)),
     ]
 
 
@@ -233,7 +230,7 @@ def cmd_generate(args) -> int:
         sequences = [single_tone_sequence(args.n, k) for k in ks]
     write_sequence_set(args.out, sequences)
     out_dir = os.path.dirname(os.path.abspath(args.out))
-    _write_manifest(out_dir, "generate", args, seed=None)
+    _write_manifest(out_dir, args)
     print(f"wrote {len(sequences)} sequences of length {sequences[0].n_chips} to {args.out}")
     return EXIT_OK
 
@@ -251,7 +248,7 @@ def cmd_evaluate(args) -> int:
         "power": args.power,
         "symbol_duration": args.symbol_duration,
         "noise_density": args.noise,
-        "snr": [_snr_value(b.unbounded, b.snr) for b in breakdowns],
+        "snr": [_snr_value(b.snr) for b in breakdowns],
         "interference_variance": [b.interference_variance for b in breakdowns],
         "noise_variance": breakdowns[0].noise_variance,
         "peaks": {
@@ -271,12 +268,14 @@ def cmd_evaluate(args) -> int:
         }
     else:
         payload["sarwate"] = None
-    # the CSV goes first, so that a failed write prints no report
+    # the report is serialized first, so that a refused report writes no CSV,
+    # and the CSV goes before the report, so that a failed write prints none
+    report = _json_text(payload)
     if args.csv:
         row = _csv_row("+".join(payload["labels"]), peaks, breakdowns[0])
         _write_csv(args.csv, CSV_HEADER, [row])
-        _write_manifest(os.path.dirname(os.path.abspath(args.csv)), "evaluate", args, seed=None)
-    _print_json(payload)
+        _write_manifest(os.path.dirname(os.path.abspath(args.csv)), args)
+    sys.stdout.write(report)
     return EXIT_OK
 
 
@@ -324,11 +323,12 @@ def cmd_optimize(args) -> int:
     report = solve_multistart(args.n, cfg, threads=_thread_count(args.threads))
     _output_dir(args.out)
     write_sequence_set(os.path.join(args.out, "sequences.json"), report.best_sequences)
-    _write_json(os.path.join(args.out, "report.json"), _report_payload(report, args.seed))
+    _write_text(os.path.join(args.out, "report.json"),
+                _json_text(_report_payload(report, args.seed)))
     _write_csv(os.path.join(args.out, "restart_snrs.csv"), ["snr"],
                [[repr(r.snr)] for r in report.restarts])
     _write_csv(os.path.join(args.out, "restarts.csv"), RESTARTS_HEADER, _restart_rows(report))
-    _write_manifest(args.out, "optimize", args, seed=args.seed)
+    _write_manifest(args.out, args)
     print(f"best snr: {report.snr}")
     print(f"e1: {report.e1}")
     print(f"e2: {report.e2}")
@@ -361,20 +361,21 @@ def cmd_simulate(args) -> int:
         "estimate": {
             "var_interference_mean": estimate.var_interference_mean,
             "var_interference_stderr": estimate.var_interference_stderr,
-            "snr": _snr_value(estimate.unbounded, estimate.snr_estimate),
+            "snr": _snr_value(estimate.snr_estimate),
         },
         "analytic": {
             "var_interference": analytic.interference_variance,
-            "snr": _snr_value(analytic.unbounded, analytic.snr),
+            "snr": _snr_value(analytic.snr),
         },
         "z_score": z,
     }
-    # the files go first, so that a failed write prints no report
+    # as in evaluate: serialized first, then the files, then the printed report
+    report = _json_text(payload)
     if args.out:
         _output_dir(args.out)
-        _write_json(os.path.join(args.out, "simulate.json"), payload)
-        _write_manifest(args.out, "simulate", args, seed=args.seed)
-    _print_json(payload)
+        _write_text(os.path.join(args.out, "simulate.json"), report)
+        _write_manifest(args.out, args)
+    sys.stdout.write(report)
     return EXIT_OK
 
 
@@ -394,7 +395,7 @@ def cmd_scatter(args) -> int:
     if not rows:
         raise CliError("no readable sequence sets")
     _write_csv(args.out, CSV_HEADER, rows)
-    _write_manifest(os.path.dirname(os.path.abspath(args.out)), "scatter", args, seed=None)
+    _write_manifest(os.path.dirname(os.path.abspath(args.out)), args)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -440,9 +441,9 @@ def build_parser() -> _Parser:
                        help="comma-separated 1-based user indices, e.g. 1,2")
         for flag, default in int_flags.items():
             p.add_argument(flag, type=int, default=default)
-        p.add_argument("--power", type=float, default=DEFAULT_POWER)
-        p.add_argument("--symbol-duration", type=float, default=DEFAULT_SYMBOL_DURATION)
-        p.add_argument("--noise", type=float, default=DEFAULT_NOISE,
+        p.add_argument("--power", type=float, default=CdmaConfig.power)
+        p.add_argument("--symbol-duration", type=float, default=CdmaConfig.symbol_duration)
+        p.add_argument("--noise", type=float, default=CdmaConfig.noise_density,
                        help="one-sided noise density N0")
 
     ev.add_argument("--csv", type=str, default=None, help="also write a scatter-style CSV row")
@@ -451,9 +452,10 @@ def build_parser() -> _Parser:
     opt.add_argument("--n", type=int, required=True, help="sequence length")
     opt.add_argument("--restarts", type=int, default=200)
     opt.add_argument("--seed", type=int, default=0)
-    opt.add_argument("--tol", type=float, default=1e-9, help="KKT residual tolerance")
-    opt.add_argument("--constraint-tol", type=float, default=1e-10)
-    opt.add_argument("--max-iter", type=int, default=5000)
+    opt.add_argument("--tol", type=float, default=SolverConfig.kkt_tolerance,
+                     help="KKT residual tolerance")
+    opt.add_argument("--constraint-tol", type=float, default=SolverConfig.constraint_tolerance)
+    opt.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)
     opt.add_argument("--threads", type=int, default=None,
                      help="worker processes (default: machine parallelism)")
     opt.add_argument("--out", type=str, required=True, help="output directory")

@@ -47,7 +47,6 @@ from .spectral import SpectralCoeffs, decompose, sequence_entries
 __all__ = [
     "CdmaConfig",
     "SnrBreakdown",
-    "spectral_phases",
     "partial_sum_table",
     "interference_variance_direct",
     "interference_variance_spectral",
@@ -100,17 +99,6 @@ class SnrBreakdown:
     noise_variance: float
     snr: float
     s_m_sum: float
-    unbounded: bool = False
-
-
-def spectral_phases(l: int, n_chips: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-modulus phase factors (lambda, lambda_hat) over m = 1..N at shift l = 0..N."""
-    if not 0 <= l <= n_chips:
-        raise ValueError(f"shift l={l} out of range 0..{n_chips}")
-    m = np.arange(1, n_chips + 1)
-    lam = np.exp(-2j * np.pi * l * m / n_chips)
-    lam_hat = np.exp(-2j * np.pi * l * (m / n_chips + 1.0 / (2 * n_chips)))
-    return lam, lam_hat
 
 
 def partial_sum_table(s_i, s_k) -> tuple[np.ndarray, np.ndarray]:
@@ -233,8 +221,8 @@ def interference_variance_spectral(cfg: CdmaConfig, sequences, i: int) -> float:
 def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
     """SNR of user i with its interference/noise breakdown.
 
-    With no interferers and zero noise density the SNR has no finite value;
-    the result is flagged ``unbounded`` and carries snr = inf.
+    With no interferers and zero noise density the SNR has no finite value
+    and is reported as snr = inf.
     """
     users = _check_user_set(cfg, sequences, i)
     coeffs = [u if isinstance(u, SpectralCoeffs) else decompose(u) for u in users]
@@ -247,11 +235,9 @@ def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
     var_i = p * t**2 / (12.0 * cfg.n_chips**2) * s_sum
     var_n = n0 * t / 4.0
     denom = s_sum / (6.0 * cfg.n_chips**2) + n0 / (2.0 * p * t)
-    unbounded = denom == 0.0
     return SnrBreakdown(
         interference_variance=var_i,
         noise_variance=var_n,
-        snr=math.inf if unbounded else denom**-0.5,
+        snr=math.inf if denom == 0.0 else denom**-0.5,
         s_m_sum=s_sum,
-        unbounded=unbounded,
     )

@@ -17,10 +17,11 @@ checks the identification by brute force, lag by lag.
 
 Both profiles are DFTs over m: with frequency m in bin m-1 (see
 ``spectral``), theta(l) = exp(-2 pi j l/N) fft(conj(alpha^u) alpha^v)[l] and
-theta_hat(l) = exp(-2 pi j l (1/N + 1/(2N))) fft(conj(beta^u) beta^v)[l].
-``correlation_peaks`` evaluates every shift of every auto and cross pair in
-one batched FFT; ``periodic_correlation`` and ``aperiodic_correlation``
-evaluate the definitions at a single shift.
+theta_hat(l) = exp(-2 pi j l (1/N + 1/(2N))) fft(conj(beta^u) beta^v)[l],
+the phase factors being entry l of the two ``spectral`` demodulation rows.
+``correlation_peaks`` takes the magnitudes of every shift of every auto and
+cross pair from one batched FFT; ``periodic_correlation`` and
+``aperiodic_correlation`` read one bin of the same FFT for a single pair.
 
 Peak statistics over a set of K sequences:
 
@@ -42,8 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .interference import spectral_phases
-from .spectral import SpectralCoeffs
+from .spectral import SpectralCoeffs, _demodulation
 
 __all__ = [
     "CorrelationPeaks",
@@ -61,15 +61,14 @@ _SARWATE_SLACK = 1e-9
 class CorrelationPeaks:
     """Peak magnitudes of the four correlation statistics for a sequence set.
 
-    ``has_cross`` is False for single-sequence sets, where the cross peaks
-    are reported as 0 by convention.
+    A single-sequence set has no cross pair; its cross peaks are reported as 0
+    by convention.
     """
 
     theta_a: float
     theta_c: float
     theta_hat_a: float
     theta_hat_c: float
-    has_cross: bool = True
 
 
 @dataclass(frozen=True)
@@ -82,42 +81,37 @@ class SarwateReport:
     satisfied_aperiodic: bool
 
 
-def _check_shift(l: int, n: int):
-    if not 0 <= l <= n - 1:
-        raise ValueError(f"shift l={l} out of range 0..{n - 1}")
+def _profiles(pairs) -> np.ndarray:
+    """One batched FFT: [0] and [1] hold theta and theta_hat of each pair (c_u, c_v).
 
-
-def periodic_correlation(c_u: SpectralCoeffs, c_v: SpectralCoeffs, l: int) -> complex:
-    """theta(u, v)(l); at l = 0 with u = v this is ||alpha||^2."""
-    if c_u.n_chips != c_v.n_chips:
-        raise ValueError("coefficient vectors must have equal length")
-    n = c_u.n_chips
-    _check_shift(l, n)
-    lam = spectral_phases(l, n)[0]
-    return complex(np.sum(lam * np.conj(c_u.alpha) * c_v.alpha))
-
-
-def aperiodic_correlation(c_u: SpectralCoeffs, c_v: SpectralCoeffs, l: int) -> complex:
-    """theta_hat(u, v)(l), the half-bin-shifted (negacyclic) analog."""
-    if c_u.n_chips != c_v.n_chips:
-        raise ValueError("coefficient vectors must have equal length")
-    n = c_u.n_chips
-    _check_shift(l, n)
-    lam_hat = spectral_phases(l, n)[1]
-    return complex(np.sum(lam_hat * np.conj(c_u.beta) * c_v.beta))
-
-
-def _profile_magnitudes(pairs) -> np.ndarray:
-    """|theta| and |theta_hat| at every shift l = 0..N-1, one row per pair (c_u, c_v).
-
-    One batched FFT; the unit-modulus factor in front of each bin (see the
-    module docstring) leaves the magnitudes unchanged and is not applied.
+    Bin l of a row is the profile at shift l up to its unit-modulus phase
+    factor (see the module docstring), so the two share their magnitude.
     """
     prods = np.array([
         [np.conj(c_u.alpha) * c_v.alpha for c_u, c_v in pairs],
         [np.conj(c_u.beta) * c_v.beta for c_u, c_v in pairs],
     ])
-    return np.abs(np.fft.fft(prods))
+    return np.fft.fft(prods)
+
+
+def _correlation(c_u: SpectralCoeffs, c_v: SpectralCoeffs, l: int, basis: int) -> complex:
+    """theta (basis 0) or theta_hat (basis 1) of (u, v) at shift l = 0..N-1."""
+    if c_u.n_chips != c_v.n_chips:
+        raise ValueError("coefficient vectors must have equal length")
+    n = c_u.n_chips
+    if not 0 <= l <= n - 1:
+        raise ValueError(f"shift l={l} out of range 0..{n - 1}")
+    return complex(_profiles([(c_u, c_v)])[basis, 0, l] * _demodulation(n)[basis, l])
+
+
+def periodic_correlation(c_u: SpectralCoeffs, c_v: SpectralCoeffs, l: int) -> complex:
+    """theta(u, v)(l); at l = 0 with u = v this is ||alpha||^2."""
+    return _correlation(c_u, c_v, l, 0)
+
+
+def aperiodic_correlation(c_u: SpectralCoeffs, c_v: SpectralCoeffs, l: int) -> complex:
+    """theta_hat(u, v)(l), the half-bin-shifted (negacyclic) analog."""
+    return _correlation(c_u, c_v, l, 1)
 
 
 def correlation_peaks(coeff_set: Sequence[SpectralCoeffs]) -> CorrelationPeaks:
@@ -129,14 +123,12 @@ def correlation_peaks(coeff_set: Sequence[SpectralCoeffs]) -> CorrelationPeaks:
         raise ValueError("all sequences in a set must share n_chips")
     k = len(coeff_set)
     crosses = [(coeff_set[a], coeff_set[b]) for a in range(k) for b in range(a + 1, k)]
-    theta, theta_hat = _profile_magnitudes([(c, c) for c in coeff_set] + crosses)
-    has_cross = k >= 2
+    theta, theta_hat = np.abs(_profiles([(c, c) for c in coeff_set] + crosses))
     return CorrelationPeaks(
         theta_a=float(np.max(theta[:k, 1:])),
-        theta_c=float(np.max(theta[k:])) if has_cross else 0.0,
+        theta_c=float(np.max(theta[k:])) if crosses else 0.0,
         theta_hat_a=float(np.max(theta_hat[:k, 1:])),
-        theta_hat_c=float(np.max(theta_hat[k:])) if has_cross else 0.0,
-        has_cross=has_cross,
+        theta_hat_c=float(np.max(theta_hat[k:])) if crosses else 0.0,
     )
 
 

@@ -48,7 +48,6 @@ class SimulationEstimate:
     snr_estimate: float
     trials: int
     seed: int
-    unbounded: bool = False
 
 
 class _Kernel:
@@ -145,7 +144,8 @@ def estimate_snr(
     with independent draws per interferer; the reported standard error is the
     sample standard deviation of the per-trial values over sqrt(trials).
     The SNR estimate plugs the estimated variance into
-    sqrt(Var_D / (Var_I + N0*T/4)) with Var_D = P*T^2/2.  ``sequences`` are
+    sqrt(Var_D / (Var_I + N0*T/4)) with Var_D = P*T^2/2, which is inf when
+    the denominator is 0 (no interferers and no noise).  ``sequences`` are
     chip sequences (SpectralCoeffs raise ValueError).  ``trials`` is any
     integer of at least 100 and ``seed`` any integer, numpy integers included;
     a float raises TypeError.  Blocks run in turn on the calling thread,
@@ -183,6 +183,10 @@ def estimate_snr(
     est = scale * mean
     stderr = scale * math.sqrt(var_of_value / trials)
     denom = est + noise_var
-    unbounded = denom <= 0.0
-    snr_estimate = math.inf if unbounded else math.sqrt(var_d / denom)
-    return SimulationEstimate(est, stderr, snr_estimate, trials, seed, unbounded)
+    if denom == 0.0:
+        snr_estimate = math.inf
+    elif var_d / denom < math.inf:
+        snr_estimate = math.sqrt(var_d / denom)
+    else:  # the quotient overflows, as it does for a subnormal noise variance
+        snr_estimate = math.sqrt(var_d) / math.sqrt(denom)
+    return SimulationEstimate(est, stderr, snr_estimate, trials, seed)

@@ -92,6 +92,18 @@ class TestSequenceSetFile:
         assert code == 1
         assert "malformed" in stderr or "cannot read" in stderr
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe",
+        b'{"format_version": 1, "n_chips": ' + b"9" * 5000 + b"}",
+    ], ids=["not-utf-8", "integer-beyond-digit-limit"])
+    def test_undecodable_file_names_the_file(self, tmp_path, capsys, content):
+        bad = tmp_path / "undecodable.json"
+        bad.write_bytes(content)
+        code, stdout, stderr = run(capsys, "evaluate", str(bad), "--users", "1")
+        assert code == 1
+        assert stdout == ""
+        assert f"cannot read sequence set {str(bad)!r}" in stderr
+
     @pytest.mark.parametrize("version, entries", [
         (1, [[True, False], [False, True]]),
         (1, [[1.0, 0.0], [0.0, False]]),
@@ -162,6 +174,28 @@ class TestEvaluate:
         payload = json.loads(stdout)
         assert payload["snr"] == ["unbounded"]
         assert payload["sarwate"] is None
+
+    def test_overflowing_report_refused_without_files(self, tmp_path, capsys):
+        gold, _, _ = make_pair_files(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "ev" / "ev.csv"
+        out.parent.mkdir()
+        code, stdout, stderr = run(capsys, "evaluate", str(gold), "--users", "1,2",
+                                   "--power", "1e300", "--symbol-duration", "1e10",
+                                   "--csv", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert "Out of range float values are not JSON compliant" in stderr
+        assert list(out.parent.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the peaks overflow to NaN
+    def test_nan_peaks_refused(self, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        write_sequence_set(str(huge), [ChipSequence(np.array([1e200, 1.0, 1.0, 1.0]))])
+        code, stdout, stderr = run(capsys, "evaluate", str(huge), "--users", "1")
+        assert code == 1
+        assert stdout == ""
+        assert "Out of range float values are not JSON compliant" in stderr
 
     def test_bad_user_selection(self, tmp_path, capsys):
         gold, _, _ = make_pair_files(tmp_path)
@@ -362,6 +396,28 @@ class TestSimulate:
         payload = json.loads(stdout)
         assert payload["estimate"]["var_interference_mean"] == 0.0
         assert payload["estimate"]["snr"] == "unbounded"
+
+    def test_subnormal_noise_snr_is_finite(self, tmp_path, capsys):
+        tone = tmp_path / "tone.json"
+        assert main(["generate", "tone", "--n", "8", "--k", "1", "--out", str(tone)]) == 0
+        capsys.readouterr()
+        code, stdout, _ = run(capsys, "simulate", str(tone), "--users", "1",
+                              "--noise", "4e-310", "--trials", "100")
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["estimate"]["snr"] == payload["analytic"]["snr"] == 7.071067811865486e154
+
+    def test_overflowing_report_refused_without_files(self, tmp_path, capsys):
+        gold, _, _ = make_pair_files(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "sim"
+        code, stdout, stderr = run(capsys, "simulate", str(gold), "--users", "1,2",
+                                   "--power", "1e300", "--symbol-duration", "1e10",
+                                   "--trials", "100", "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert "Out of range float values are not JSON compliant" in stderr
+        assert not out.exists()
 
     def test_same_seed_identical_output(self, tmp_path, capsys):
         gold, _, _ = make_pair_files(tmp_path)

@@ -12,7 +12,6 @@ from spreadopt.interference import (
     partial_sum_table,
     s_m_terms,
     snr,
-    spectral_phases,
 )
 from spreadopt.sequences import gold_pair
 from spreadopt.simulator import estimate_snr
@@ -283,34 +282,17 @@ class TestSmTerms:
             partial_sum_table(np.ones(4), np.ones(5))
 
 
-class TestSpectralPhases:
-    def test_unit_modulus_and_zero_shift(self):
-        lam, lam_hat = spectral_phases(0, 9)
-        assert np.allclose(lam, 1.0)
-        assert np.allclose(np.abs(lam_hat), 1.0)
-        lam, lam_hat = spectral_phases(4, 9)
-        assert np.allclose(np.abs(lam), 1.0, atol=1e-14)
-        assert np.allclose(np.abs(lam_hat), 1.0, atol=1e-14)
-
-    @pytest.mark.parametrize("l", [-1, 10])
-    def test_shift_out_of_range(self, l):
-        with pytest.raises(ValueError):
-            spectral_phases(l, 9)
-
-
 class TestSnr:
     def test_noise_only(self):
         cfg = CdmaConfig(n_chips=8, n_users=1, power=2.0, symbol_duration=3.0, noise_density=0.5)
         out = snr(cfg, [np.ones(8, dtype=complex)], 1)
-        assert not out.unbounded
         assert out.snr == pytest.approx(np.sqrt(2 * 2.0 * 3.0 / 0.5), rel=1e-12)
         assert out.s_m_sum == 0.0
 
     def test_unbounded_flagged(self):
         cfg = CdmaConfig(n_chips=8, n_users=1)
         out = snr(cfg, [np.ones(8, dtype=complex)], 1)
-        assert out.unbounded
-        assert np.isinf(out.snr)
+        assert out.snr == np.inf
 
     def test_consistent_with_definitional_form(self):
         rng = np.random.default_rng(15)

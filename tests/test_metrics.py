@@ -135,7 +135,6 @@ class TestCorrelationPeaks:
 
     def test_single_sequence_flagged(self):
         peaks = correlation_peaks([decompose(fzc_sequence(31, 1).entries)])
-        assert not peaks.has_cross
         assert peaks.theta_c == 0.0
         assert peaks.theta_hat_c == 0.0
 
