@@ -15,6 +15,7 @@ parser once per process and reuses it on every call.
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import itertools
 import json
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .interference import CdmaConfig, snr
-from .metrics import correlation_peaks, sarwate_check
+from .metrics import CorrelationPeaks, correlation_peaks, sarwate_check
 from .optimizer import SolverConfig, solve_multistart
 from .sequences import ChipSequence, fzc_sequence, gold_family, single_tone_sequence
 from .simulator import estimate_snr
@@ -128,7 +129,9 @@ def read_sequence_set(path: str) -> list[ChipSequence]:
             raise CliError(f"malformed sequence set {path!r}: n_chips must be a JSON integer")
         sequences = []
         for item in payload["sequences"]:
-            rows = item["entries"]
+            label, rows = item["label"], item["entries"]
+            if type(label) is not str:
+                raise CliError(f"malformed sequence set {path!r}: label must be a JSON string")
             if not set(map(type, itertools.chain.from_iterable(rows))) <= _JSON_NUMBERS:
                 raise CliError(f"malformed sequence set {path!r}: entries must be JSON numbers")
             entries = np.array([complex(re, im) for re, im in rows])
@@ -136,7 +139,7 @@ def read_sequence_set(path: str) -> list[ChipSequence]:
                 raise CliError(f"sequence length mismatch in {path!r}")
             if not np.all(np.isfinite(entries.view(float))):
                 raise CliError(f"non-finite entries in {path!r}")
-            sequences.append(ChipSequence(entries, label=str(item["label"])))
+            sequences.append(ChipSequence(entries, label=label))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"malformed sequence set {path!r}: {exc}") from exc
     if not sequences:
@@ -159,16 +162,12 @@ def _snr_value(value: float) -> object:
     return "unbounded" if value == math.inf else value
 
 
-CSV_HEADER = ["label", "theta_a", "theta_c", "theta_hat_a", "theta_hat_c", "snr"]
+CSV_HEADER = ["label", *(f.name for f in dataclasses.fields(CorrelationPeaks)), "snr"]
 
 
 def _csv_row(label: str, peaks, breakdown) -> list[str]:
     """The peaks of a set and the SNR of its user 1, as one CSV row."""
-    return [
-        label, repr(peaks.theta_a), repr(peaks.theta_c),
-        repr(peaks.theta_hat_a), repr(peaks.theta_hat_c),
-        str(_snr_value(breakdown.snr)),
-    ]
+    return [label, *map(repr, dataclasses.astuple(peaks)), str(_snr_value(breakdown.snr))]
 
 
 def _thread_count(threads) -> int:
@@ -241,7 +240,7 @@ def cmd_evaluate(args) -> int:
     breakdowns = [snr(cfg, coeffs, u) for u in range(1, len(selected) + 1)]
     peaks = correlation_peaks(coeffs)
     payload = {
-        "command": "evaluate",
+        "command": args.command,
         "n_chips": cfg.n_chips,
         "users": users,
         "labels": [s.label for s in selected],
@@ -251,23 +250,10 @@ def cmd_evaluate(args) -> int:
         "snr": [_snr_value(b.snr) for b in breakdowns],
         "interference_variance": [b.interference_variance for b in breakdowns],
         "noise_variance": breakdowns[0].noise_variance,
-        "peaks": {
-            "theta_a": peaks.theta_a,
-            "theta_c": peaks.theta_c,
-            "theta_hat_a": peaks.theta_hat_a,
-            "theta_hat_c": peaks.theta_hat_c,
-        },
+        "peaks": dataclasses.asdict(peaks),
+        "sarwate": (dataclasses.asdict(sarwate_check(peaks, cfg.n_chips, len(selected)))
+                    if len(selected) >= 2 else None),
     }
-    if len(selected) >= 2:
-        report = sarwate_check(peaks, cfg.n_chips, len(selected))
-        payload["sarwate"] = {
-            "lhs_periodic": report.lhs_periodic,
-            "lhs_aperiodic": report.lhs_aperiodic,
-            "satisfied_periodic": report.satisfied_periodic,
-            "satisfied_aperiodic": report.satisfied_aperiodic,
-        }
-    else:
-        payload["sarwate"] = None
     # the report is serialized first, so that a refused report writes no CSV,
     # and the CSV goes before the report, so that a failed write prints none
     report = _json_text(payload)
@@ -279,11 +265,11 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _report_payload(report, seed) -> dict:
+def _report_payload(report, args) -> dict:
     return {
-        "command": "optimize",
+        "command": args.command,
         "n_chips": report.n_chips,
-        "seed": seed,
+        "seed": args.seed,
         "converged": report.converged,
         "status": report.status,
         "objective": report.objective,
@@ -324,7 +310,7 @@ def cmd_optimize(args) -> int:
     _output_dir(args.out)
     write_sequence_set(os.path.join(args.out, "sequences.json"), report.best_sequences)
     _write_text(os.path.join(args.out, "report.json"),
-                _json_text(_report_payload(report, args.seed)))
+                _json_text(_report_payload(report, args)))
     _write_csv(os.path.join(args.out, "restart_snrs.csv"), ["snr"],
                [[repr(r.snr)] for r in report.restarts])
     _write_csv(os.path.join(args.out, "restarts.csv"), RESTARTS_HEADER, _restart_rows(report))
@@ -352,7 +338,7 @@ def cmd_simulate(args) -> int:
     else:
         z = None
     payload = {
-        "command": "simulate",
+        "command": args.command,
         "n_chips": cfg.n_chips,
         "users": users,
         "labels": [s.label for s in selected],

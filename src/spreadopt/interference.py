@@ -37,6 +37,7 @@ Var_N = N0 T / 4 for white noise of two-sided density N0/2.
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -218,11 +219,26 @@ def interference_variance_spectral(cfg: CdmaConfig, sequences, i: int) -> float:
     return snr(cfg, sequences, i).interference_variance
 
 
+def _snr_from_roots(root_interference: float, n0: float, p: float, t: float) -> float:
+    """(Var_I/Var_D + N0/(2PT))^(-1/2) from root_interference = sqrt(Var_I/Var_D).
+
+    The fallback where a quotient of the direct form under- or overflows: the
+    square root of a positive finite float lies in [2.2e-162, 1.4e154], so the
+    roots stay in range.  An SNR beyond the float range raises OverflowError.
+    """
+    root_noise = math.sqrt(n0) / math.sqrt(2.0) / math.sqrt(p) / math.sqrt(t)
+    root = math.hypot(root_interference, root_noise)
+    if root == 0.0 or 1.0 / root == math.inf:
+        raise OverflowError("the SNR exceeds the float range")
+    return 1.0 / root
+
+
 def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
     """SNR of user i with its interference/noise breakdown.
 
-    With no interferers and zero noise density the SNR has no finite value
-    and is reported as snr = inf.
+    With no interference (S_m sum 0) and zero noise density the SNR has no
+    finite value and is reported as snr = inf; a finite SNR beyond the float
+    range raises OverflowError.
     """
     users = _check_user_set(cfg, sequences, i)
     coeffs = [u if isinstance(u, SpectralCoeffs) else decompose(u) for u in users]
@@ -235,9 +251,15 @@ def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
     var_i = p * t**2 / (12.0 * cfg.n_chips**2) * s_sum
     var_n = n0 * t / 4.0
     denom = s_sum / (6.0 * cfg.n_chips**2) + n0 / (2.0 * p * t)
+    if s_sum == 0.0 and n0 == 0.0:
+        value = math.inf
+    elif sys.float_info.min <= denom < math.inf:
+        value = denom**-0.5
+    else:  # a quotient under- or overflowed, as for a subnormal N0 / (2PT)
+        value = _snr_from_roots(math.sqrt(s_sum) / math.sqrt(6.0) / cfg.n_chips, n0, p, t)
     return SnrBreakdown(
         interference_variance=var_i,
         noise_variance=var_n,
-        snr=math.inf if denom == 0.0 else denom**-0.5,
+        snr=value,
         s_m_sum=s_sum,
     )

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,8 +13,10 @@ import pytest
 from spreadopt import __version__, cli, optimizer
 from spreadopt.cli import main, read_sequence_set, write_sequence_set
 from spreadopt.interference import CdmaConfig, interference_variance_direct
+from spreadopt.metrics import correlation_peaks, sarwate_check
 from spreadopt.optimizer import restart_seed
 from spreadopt.sequences import ChipSequence, gold_pair
+from spreadopt.spectral import decompose
 from test_metrics import brute_force_peaks
 
 
@@ -118,6 +121,16 @@ class TestSequenceSetFile:
         assert stdout == ""
         assert "malformed" in stderr or "format_version" in stderr
 
+    @pytest.mark.parametrize("label", [None, {"a": 1}, 3], ids=["null", "object", "number"])
+    def test_non_string_label_rejected(self, tmp_path, capsys, label):
+        bad = tmp_path / "label.json"
+        item = {"label": label, "entries": [[1.0, 0.0], [0.0, 1.0]]}
+        bad.write_text(json.dumps({"format_version": 1, "n_chips": 2, "sequences": [item]}))
+        code, stdout, stderr = run(capsys, "evaluate", str(bad), "--users", "1")
+        assert code == 1
+        assert stdout == ""
+        assert f"malformed sequence set {str(bad)!r}: label must be a JSON string" in stderr
+
     @pytest.mark.parametrize("n_chips", ["2", 2.9, 2.0, True],
                              ids=["string", "fraction", "integral-float", "boolean"])
     def test_non_integer_n_chips_rejected(self, tmp_path, capsys, n_chips):
@@ -174,6 +187,36 @@ class TestEvaluate:
         payload = json.loads(stdout)
         assert payload["snr"] == ["unbounded"]
         assert payload["sarwate"] is None
+
+    def test_three_user_set(self, tmp_path, capsys):
+        gold = tmp_path / "gold3.json"
+        out = tmp_path / "gold3.csv"
+        assert main(["generate", "gold", "--degree", "5", "--indices", "2,3,4",
+                     "--out", str(gold)]) == 0
+        capsys.readouterr()
+        code, stdout, _ = run(capsys, "evaluate", str(gold), "--users", "1,2,3",
+                              "--csv", str(out))
+        assert code == 0
+        payload = json.loads(stdout)
+        peaks = correlation_peaks([decompose(s) for s in read_sequence_set(str(gold))])
+        assert payload["peaks"] == dataclasses.asdict(peaks)
+        assert payload["sarwate"] == dataclasses.asdict(sarwate_check(peaks, 31, 3))
+        assert len(payload["snr"]) == 3
+        with open(out, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert header == cli.CSV_HEADER
+        assert len(row) == len(header)
+
+    def test_underflowing_noise_snr_is_finite(self, tmp_path, capsys):
+        # N0 / (2PT) rounds to 0.0 for this positive N0, but the SNR is finite
+        tone = tmp_path / "tone.json"
+        assert main(["generate", "tone", "--n", "8", "--k", "1", "--out", str(tone)]) == 0
+        capsys.readouterr()
+        code, stdout, _ = run(capsys, "evaluate", str(tone), "--users", "1",
+                              "--noise", "5e-324", "--power", "100")
+        assert code == 0
+        (value,) = json.loads(stdout)["snr"]
+        assert value == pytest.approx(math.sqrt(200.0) / math.sqrt(5e-324), rel=1e-15)
 
     def test_overflowing_report_refused_without_files(self, tmp_path, capsys):
         gold, _, _ = make_pair_files(tmp_path)
@@ -406,6 +449,19 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(stdout)
         assert payload["estimate"]["snr"] == payload["analytic"]["snr"] == 7.071067811865486e154
+
+    def test_underflowing_noise_snr_is_finite(self, tmp_path, capsys):
+        # N0 T / 4 rounds to 0.0 for this positive N0, but the SNR is finite
+        tone = tmp_path / "tone.json"
+        assert main(["generate", "tone", "--n", "8", "--k", "1", "--out", str(tone)]) == 0
+        capsys.readouterr()
+        code, stdout, _ = run(capsys, "simulate", str(tone), "--users", "1",
+                              "--noise", "5e-324", "--power", "100", "--trials", "100")
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["estimate"]["snr"] == payload["analytic"]["snr"]
+        assert payload["estimate"]["snr"] == pytest.approx(
+            math.sqrt(200.0) / math.sqrt(5e-324), rel=1e-15)
 
     def test_overflowing_report_refused_without_files(self, tmp_path, capsys):
         gold, _, _ = make_pair_files(tmp_path)

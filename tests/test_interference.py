@@ -294,6 +294,26 @@ class TestSnr:
         out = snr(cfg, [np.ones(8, dtype=complex)], 1)
         assert out.snr == np.inf
 
+    @pytest.mark.parametrize("n0, p, t", [(5e-324, 100.0, 1.0), (1e-300, 1e300, 1e10),
+                                          (1e300, 1e-10, 1e-10)],
+                             ids=["subnormal-n0", "2pt-overflows", "quotient-overflows"])
+    def test_noise_quotient_out_of_range_keeps_finite_snr(self, n0, p, t):
+        # N0 / (2PT) rounds to 0.0 or inf, but the SNR sqrt(2PT/N0) is a float
+        cfg = CdmaConfig(n_chips=8, n_users=1, power=p, symbol_duration=t, noise_density=n0)
+        out = snr(cfg, [np.ones(8, dtype=complex)], 1)
+        expected = np.sqrt(2.0) * np.sqrt(p) * np.sqrt(t) / np.sqrt(n0)
+        assert out.snr == pytest.approx(expected, rel=1e-14, abs=0)
+        sim = estimate_snr(cfg, [np.ones(8, dtype=complex)], 1, trials=100, seed=0)
+        assert sim.snr_estimate == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_snr_beyond_float_range_raises(self):
+        cfg = CdmaConfig(n_chips=8, n_users=1, power=1e300, symbol_duration=1e150,
+                         noise_density=5e-324)
+        with pytest.raises(OverflowError, match="float range"):
+            snr(cfg, [np.ones(8, dtype=complex)], 1)
+        with pytest.raises(OverflowError, match="float range"):
+            estimate_snr(cfg, [np.ones(8, dtype=complex)], 1, trials=100, seed=0)
+
     def test_consistent_with_definitional_form(self):
         rng = np.random.default_rng(15)
         n = 16

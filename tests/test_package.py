@@ -22,6 +22,16 @@ def test_namespace_is_union_of_module_apis():
             assert getattr(spreadopt, name) is getattr(module, name), name
 
 
+def test_one_version(capsys):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert spreadopt.__version__ == version
+    with pytest.raises(SystemExit):
+        cli.main(["--version"])
+    assert capsys.readouterr().out == f"spreadopt {version}\n"
+
+
 @pytest.mark.parametrize("module", MODULES + (cli,), ids=lambda m: m.__name__)
 def test_public_callables_are_plain_functions(module):
     # bench/tracer.py wraps only inspect.isfunction names, so a decorator such
