@@ -162,12 +162,17 @@ def _snr_value(value: float) -> object:
     return "unbounded" if value == math.inf else value
 
 
+def _fields(record) -> dict:
+    """A dataclass record's fields by name in declaration order; unlike asdict, no copy."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 CSV_HEADER = ["label", *(f.name for f in dataclasses.fields(CorrelationPeaks)), "snr"]
 
 
 def _csv_row(label: str, peaks, breakdown) -> list[str]:
     """The peaks of a set and the SNR of its user 1, as one CSV row."""
-    return [label, *map(repr, dataclasses.astuple(peaks)), str(_snr_value(breakdown.snr))]
+    return [label, *map(repr, _fields(peaks).values()), str(_snr_value(breakdown.snr))]
 
 
 def _thread_count(threads) -> int:
@@ -250,8 +255,8 @@ def cmd_evaluate(args) -> int:
         "snr": [_snr_value(b.snr) for b in breakdowns],
         "interference_variance": [b.interference_variance for b in breakdowns],
         "noise_variance": breakdowns[0].noise_variance,
-        "peaks": dataclasses.asdict(peaks),
-        "sarwate": (dataclasses.asdict(sarwate_check(peaks, cfg.n_chips, len(selected)))
+        "peaks": _fields(peaks),
+        "sarwate": (_fields(sarwate_check(peaks, cfg.n_chips, len(selected)))
                     if len(selected) >= 2 else None),
     }
     # the report is serialized first, so that a refused report writes no CSV,

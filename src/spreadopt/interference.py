@@ -37,7 +37,6 @@ Var_N = N0 T / 4 for white noise of two-sided density N0/2.
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,12 +55,21 @@ __all__ = [
 ]
 
 
+def _check_range(name: str, value: float, zero_ok: bool) -> None:
+    """Reject a value outside [1e-30, 1e30] (other than 0, when zero_ok), naming it."""
+    if not (1e-30 <= value <= 1e30 or zero_ok and value == 0.0):
+        raise ValueError(f"{name} must be finite and {'0 or ' if zero_ok else ''}"
+                         f"in [1e-30, 1e30], got {value!r}")
+
+
 @dataclass(frozen=True)
 class CdmaConfig:
     """System parameters.  chip_duration is always symbol_duration / n_chips.
 
     ``n_chips`` and ``n_users`` are integers, numpy integers included; a float
-    raises TypeError.
+    raises TypeError.  P and T lie in [1e-30, 1e30] and N0 is 0 or in that
+    range; other values, NaN and inf included, raise ValueError.  So P T^2,
+    N0 T and N0 / (2PT) are 0 or normal floats within 1e-91 to 1e90.
     """
 
     n_chips: int
@@ -77,15 +85,9 @@ class CdmaConfig:
             raise ValueError("n_chips must be at least 2")
         if self.n_users < 1:
             raise ValueError("n_users must be at least 1")
-        if self.power <= 0:
-            raise ValueError("power must be positive")
-        if self.symbol_duration <= 0:
-            raise ValueError("symbol_duration must be positive")
-        if self.noise_density < 0:
-            raise ValueError("noise_density must be nonnegative")
-        for name in ("power", "symbol_duration", "noise_density"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _check_range("power", self.power, zero_ok=False)
+        _check_range("symbol_duration", self.symbol_duration, zero_ok=False)
+        _check_range("noise_density", self.noise_density, zero_ok=True)
 
     @property
     def chip_duration(self) -> float:
@@ -127,7 +129,9 @@ def _check_user_set(cfg: CdmaConfig, sequences, i: int, chips_only: bool = False
 
     Returns the set with every chip sequence replaced by its chip vector;
     SpectralCoeffs are passed through unchanged, or rejected with a ValueError
-    when ``chips_only`` is set by a route that integrates over chips.
+    when ``chips_only`` is set by a route that integrates over chips.  Each
+    user's mean chip power ||s||^2/N (||alpha||^2/N for SpectralCoeffs) must
+    be 0 or in [1e-30, 1e30]; a square beyond the float range is inf, unwarned.
     """
     if len(sequences) != cfg.n_users:
         raise ValueError(
@@ -139,10 +143,14 @@ def _check_user_set(cfg: CdmaConfig, sequences, i: int, chips_only: bool = False
         raise ValueError("this route integrates over chips: it needs chip sequences, "
                          "not SpectralCoeffs")
     users = [s if isinstance(s, SpectralCoeffs) else sequence_entries(s) for s in sequences]
-    for u in users:
-        n = u.n_chips if isinstance(u, SpectralCoeffs) else u.shape[0]
-        if n != cfg.n_chips:
-            raise ValueError("sequence length does not match cfg.n_chips")
+    with np.errstate(over="ignore"):
+        for k, u in enumerate(users, start=1):
+            chips = np.ascontiguousarray(u.alpha if isinstance(u, SpectralCoeffs) else u)
+            if chips.shape[0] != cfg.n_chips:
+                raise ValueError("sequence length does not match cfg.n_chips")
+            parts = chips.view(float)  # the Re and Im parts, whose squares sum to ||s||^2
+            power = float(np.einsum("i,i->", parts, parts)) / cfg.n_chips
+            _check_range(f"mean chip power of user {k}", power, zero_ok=True)
     return users
 
 
@@ -219,26 +227,14 @@ def interference_variance_spectral(cfg: CdmaConfig, sequences, i: int) -> float:
     return snr(cfg, sequences, i).interference_variance
 
 
-def _snr_from_roots(root_interference: float, n0: float, p: float, t: float) -> float:
-    """(Var_I/Var_D + N0/(2PT))^(-1/2) from root_interference = sqrt(Var_I/Var_D).
-
-    The fallback where a quotient of the direct form under- or overflows: the
-    square root of a positive finite float lies in [2.2e-162, 1.4e154], so the
-    roots stay in range.  An SNR beyond the float range raises OverflowError.
-    """
-    root_noise = math.sqrt(n0) / math.sqrt(2.0) / math.sqrt(p) / math.sqrt(t)
-    root = math.hypot(root_interference, root_noise)
-    if root == 0.0 or 1.0 / root == math.inf:
-        raise OverflowError("the SNR exceeds the float range")
-    return 1.0 / root
-
-
 def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
     """SNR of user i with its interference/noise breakdown.
 
     With no interference (S_m sum 0) and zero noise density the SNR has no
-    finite value and is reported as snr = inf; a finite SNR beyond the float
-    range raises OverflowError.
+    finite value and is reported as snr = inf.  Otherwise the SNR is
+    (s_sum/(6N^2) + N0/(2PT))^(-1/2) as written: N0/(2PT) is 0 or in [5e-91,
+    5e89], and s_sum/(6N^2) is at most (K-1) 1e60/4, as each S_m weight is at
+    most 3/2 and each ||alpha||^2 at most 1e30 N, so no quotient overflows.
     """
     users = _check_user_set(cfg, sequences, i)
     coeffs = [u if isinstance(u, SpectralCoeffs) else decompose(u) for u in users]
@@ -251,12 +247,7 @@ def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
     var_i = p * t**2 / (12.0 * cfg.n_chips**2) * s_sum
     var_n = n0 * t / 4.0
     denom = s_sum / (6.0 * cfg.n_chips**2) + n0 / (2.0 * p * t)
-    if s_sum == 0.0 and n0 == 0.0:
-        value = math.inf
-    elif sys.float_info.min <= denom < math.inf:
-        value = denom**-0.5
-    else:  # a quotient under- or overflowed, as for a subnormal N0 / (2PT)
-        value = _snr_from_roots(math.sqrt(s_sum) / math.sqrt(6.0) / cfg.n_chips, n0, p, t)
+    value = math.inf if s_sum == 0.0 and n0 == 0.0 else denom**-0.5
     return SnrBreakdown(
         interference_variance=var_i,
         noise_variance=var_n,

@@ -57,7 +57,6 @@ import glob
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
@@ -391,12 +390,21 @@ def _trust_region_step(vals: np.ndarray, grad: np.ndarray, radius: float) -> np.
 
     Inside the radius with positive curvature this is the least-squares
     Newton step; otherwise s = -grad / (vals + mu) with mu found by bisection
-    so that ||s|| lies in [0.9, 1] radius (shorter only in the hard case).
+    so that ||s|| lies in [0.9, 1] radius.  ``vals`` ascend.  In the hard case
+    (Nocedal & Wright 4.3: vals[0] < 0, grad is 0 on its eigenspace and
+    s(-vals[0]) is inside the radius) s(-vals[0]) gets s[0] to reach the radius.
     """
     step = -grad / vals
     if vals[0] > 0.0 and np.linalg.norm(step) <= radius:
         return step
     lo = max(0.0, -float(vals[0]))
+    lowest = vals == vals[0]
+    if lo > 0.0 and not np.any(grad[lowest]):
+        step = -grad / np.where(lowest, np.inf, vals + lo)  # 0 on the lowest eigenspace
+        length = float(np.linalg.norm(step))
+        if length <= radius:
+            step[0] = math.sqrt(radius**2 - length**2)
+            return step
     hi = lo + float(np.linalg.norm(grad)) / radius
     step = -grad / (vals + hi)
     for _ in range(100):
@@ -574,6 +582,7 @@ def solve_multistart(n_chips: int, cfg: SolverConfig, threads: int = 1) -> Solve
     """
     jobs = [(n_chips, cfg, t) for t in range(1, cfg.restarts + 1)]
     if threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             reports = list(pool.map(_run_restart, jobs, chunksize=1))
     else:

@@ -28,14 +28,11 @@ that OpenBLAS picks for the CPU.
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import (
-    CdmaConfig, _bit_table, _check_user_set, _snr_from_roots, partial_sum_table,
-)
+from .interference import CdmaConfig, _bit_table, _check_user_set, partial_sum_table
 
 __all__ = ["SimulationEstimate", "estimate_snr"]
 
@@ -148,8 +145,9 @@ def estimate_snr(
     sample standard deviation of the per-trial values over sqrt(trials).
     The SNR estimate plugs the estimated variance into
     sqrt(Var_D / (Var_I + N0*T/4)) with Var_D = P*T^2/2, which is inf when
-    there is no interference estimate and N0 is 0; a finite SNR beyond the
-    float range raises OverflowError.  ``sequences`` are chip sequences
+    there is no interference estimate and N0 is 0, and is evaluated as
+    written: Var_D is in [5e-91, 5e89] and N0*T/4 is 0 or in [2.5e-61,
+    2.5e59] (``CdmaConfig``'s ranges).  ``sequences`` are chip sequences
     (SpectralCoeffs raise ValueError).  ``trials`` is any integer of at least
     100 and ``seed`` any integer, numpy integers included; a float raises
     TypeError.  Blocks run in turn on the calling thread,
@@ -187,11 +185,5 @@ def estimate_snr(
     est = scale * mean
     stderr = scale * math.sqrt(var_of_value / trials)
     denom = est + noise_var
-    if mean == 0.0 and n0 == 0.0:
-        snr_estimate = math.inf
-    elif denom > 0.0 and sys.float_info.min <= var_d / denom < math.inf:
-        snr_estimate = math.sqrt(var_d / denom)
-    else:  # a quotient under- or overflowed, as for a subnormal noise variance
-        # est / Var_D = mean / (2 T^2)
-        snr_estimate = _snr_from_roots(math.sqrt(mean) / math.sqrt(2.0) / t, n0, p, t)
+    snr_estimate = math.inf if mean == 0.0 and n0 == 0.0 else math.sqrt(var_d / denom)
     return SimulationEstimate(est, stderr, snr_estimate, trials, seed)

@@ -26,6 +26,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_refused(capsys, *argv, names):
+    """argv exits 1 with nothing on stdout and each of ``names`` on stderr."""
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    for name in names:
+        assert name in stderr
+
+
 def make_pair_files(tmp_path):
     gold = tmp_path / "gold.json"
     fzc = tmp_path / "fzc.json"
@@ -208,37 +217,32 @@ class TestEvaluate:
         assert len(row) == len(header)
 
     def test_underflowing_noise_snr_is_finite(self, tmp_path, capsys):
-        # N0 / (2PT) rounds to 0.0 for this positive N0, but the SNR is finite
+        # N0 / (2PT) would round to 0.0 for this positive N0, which is refused
         tone = tmp_path / "tone.json"
         assert main(["generate", "tone", "--n", "8", "--k", "1", "--out", str(tone)]) == 0
         capsys.readouterr()
-        code, stdout, _ = run(capsys, "evaluate", str(tone), "--users", "1",
-                              "--noise", "5e-324", "--power", "100")
-        assert code == 0
-        (value,) = json.loads(stdout)["snr"]
-        assert value == pytest.approx(math.sqrt(200.0) / math.sqrt(5e-324), rel=1e-15)
+        out = tmp_path / "ev" / "ev.csv"
+        out.parent.mkdir()
+        assert_refused(capsys, "evaluate", str(tone), "--users", "1", "--noise", "5e-324",
+                       "--power", "100", "--csv", str(out), names=["noise_density", "5e-324"])
+        assert list(out.parent.iterdir()) == []
 
     def test_overflowing_report_refused_without_files(self, tmp_path, capsys):
         gold, _, _ = make_pair_files(tmp_path)
         capsys.readouterr()
         out = tmp_path / "ev" / "ev.csv"
         out.parent.mkdir()
-        code, stdout, stderr = run(capsys, "evaluate", str(gold), "--users", "1,2",
-                                   "--power", "1e300", "--symbol-duration", "1e10",
-                                   "--csv", str(out))
-        assert code == 1
-        assert stdout == ""
-        assert "Out of range float values are not JSON compliant" in stderr
+        assert_refused(capsys, "evaluate", str(gold), "--users", "1,2", "--power", "1e300",
+                       "--symbol-duration", "1e10", "--csv", str(out),
+                       names=["power", "1e+300"])
         assert list(out.parent.iterdir()) == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the peaks overflow to NaN
     def test_nan_peaks_refused(self, tmp_path, capsys):
+        # the chip's square overflows, so the set is refused before any peak
         huge = tmp_path / "huge.json"
         write_sequence_set(str(huge), [ChipSequence(np.array([1e200, 1.0, 1.0, 1.0]))])
-        code, stdout, stderr = run(capsys, "evaluate", str(huge), "--users", "1")
-        assert code == 1
-        assert stdout == ""
-        assert "Out of range float values are not JSON compliant" in stderr
+        assert_refused(capsys, "evaluate", str(huge), "--users", "1",
+                       names=["mean chip power of user 1", "got inf"])
 
     def test_bad_user_selection(self, tmp_path, capsys):
         gold, _, _ = make_pair_files(tmp_path)
@@ -441,38 +445,33 @@ class TestSimulate:
         assert payload["estimate"]["snr"] == "unbounded"
 
     def test_subnormal_noise_snr_is_finite(self, tmp_path, capsys):
+        # Var_D / Var_N would overflow for this subnormal N0, which is refused
         tone = tmp_path / "tone.json"
         assert main(["generate", "tone", "--n", "8", "--k", "1", "--out", str(tone)]) == 0
         capsys.readouterr()
-        code, stdout, _ = run(capsys, "simulate", str(tone), "--users", "1",
-                              "--noise", "4e-310", "--trials", "100")
-        assert code == 0
-        payload = json.loads(stdout)
-        assert payload["estimate"]["snr"] == payload["analytic"]["snr"] == 7.071067811865486e154
+        out = tmp_path / "sim"
+        assert_refused(capsys, "simulate", str(tone), "--users", "1", "--noise", "4e-310",
+                       "--trials", "100", "--out", str(out), names=["noise_density", "4e-310"])
+        assert not out.exists()
 
     def test_underflowing_noise_snr_is_finite(self, tmp_path, capsys):
-        # N0 T / 4 rounds to 0.0 for this positive N0, but the SNR is finite
+        # N0 T / 4 would round to 0.0 for this positive N0, which is refused
         tone = tmp_path / "tone.json"
         assert main(["generate", "tone", "--n", "8", "--k", "1", "--out", str(tone)]) == 0
         capsys.readouterr()
-        code, stdout, _ = run(capsys, "simulate", str(tone), "--users", "1",
-                              "--noise", "5e-324", "--power", "100", "--trials", "100")
-        assert code == 0
-        payload = json.loads(stdout)
-        assert payload["estimate"]["snr"] == payload["analytic"]["snr"]
-        assert payload["estimate"]["snr"] == pytest.approx(
-            math.sqrt(200.0) / math.sqrt(5e-324), rel=1e-15)
+        out = tmp_path / "sim"
+        assert_refused(capsys, "simulate", str(tone), "--users", "1", "--noise", "5e-324",
+                       "--power", "100", "--trials", "100", "--out", str(out),
+                       names=["noise_density", "5e-324"])
+        assert not out.exists()
 
     def test_overflowing_report_refused_without_files(self, tmp_path, capsys):
         gold, _, _ = make_pair_files(tmp_path)
         capsys.readouterr()
         out = tmp_path / "sim"
-        code, stdout, stderr = run(capsys, "simulate", str(gold), "--users", "1,2",
-                                   "--power", "1e300", "--symbol-duration", "1e10",
-                                   "--trials", "100", "--out", str(out))
-        assert code == 1
-        assert stdout == ""
-        assert "Out of range float values are not JSON compliant" in stderr
+        assert_refused(capsys, "simulate", str(gold), "--users", "1,2", "--power", "1e300",
+                       "--symbol-duration", "1e10", "--trials", "100", "--out", str(out),
+                       names=["power", "1e+300"])
         assert not out.exists()
 
     def test_same_seed_identical_output(self, tmp_path, capsys):
@@ -644,6 +643,45 @@ class TestUsage:
         assert message in stderr
 
 
+class TestInputRange:
+    """Values outside the accepted ranges exit 1, name the value and write nothing."""
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-80])
+    @pytest.mark.parametrize("command, flags", [
+        ("evaluate", ["--csv", "OUT/ev.csv"]),
+        ("simulate", ["--trials", "100", "--out", "OUT/sim"]),
+    ], ids=["evaluate", "simulate"])
+    def test_tiny_chips_refused(self, tmp_path, capsys, command, flags, scale):
+        # at 1e-160 the interference underflows to 0 and would read as unbounded
+        tiny = tmp_path / "tiny.json"
+        write_sequence_set(str(tiny), [ChipSequence(scale * s.entries, label=s.label)
+                                       for s in gold_pair(5)])
+        out = tmp_path / "out"
+        out.mkdir()
+        assert_refused(capsys, command, str(tiny), "--users", "1,2",
+                       *[f.replace("OUT", str(out)) for f in flags],
+                       names=["mean chip power of user 1", "in [1e-30, 1e30]"])
+        assert list(out.iterdir()) == []
+
+    def test_huge_symbol_duration_refused(self, tmp_path, capsys):
+        gold, _, _ = make_pair_files(tmp_path)
+        capsys.readouterr()
+        assert_refused(capsys, "evaluate", str(gold), "--users", "1,2",
+                       "--symbol-duration", "1e200", names=["symbol_duration", "1e+200"])
+
+    def test_huge_power_refused_for_one_user(self, tmp_path, capsys):
+        tone = tmp_path / "tone.json"
+        assert main(["generate", "tone", "--n", "8", "--k", "1", "--out", str(tone)]) == 0
+        capsys.readouterr()
+        assert_refused(capsys, "evaluate", str(tone), "--users", "1", "--power", "1e300",
+                       "--symbol-duration", "1e10", "--noise", "1", names=["power", "1e+300"])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_text_refuses_non_finite(self, value):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON"):
+            cli._json_text({"snr": [1.0, {"value": value}]})
+
+
 class TestParserReuse:
     """``main`` reuses one parser per process; no call may leak into the next."""
 
@@ -697,10 +735,12 @@ class TestParserReuse:
 
 def test_cli_import_loads_no_scipy():
     # the solver needs only numpy; importing scipy.optimize used to dominate
-    # the start-up time of every command
+    # the start-up time of every command.  The process pool is imported only
+    # by a multi-process optimize run.
     src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, spreadopt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, spreadopt.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"

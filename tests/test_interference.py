@@ -1,4 +1,9 @@
+import decimal
 import itertools
+import math
+import os
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +18,8 @@ from spreadopt.interference import (
     s_m_terms,
     snr,
 )
-from spreadopt.sequences import gold_pair
+from spreadopt.cli import read_sequence_set
+from spreadopt.sequences import fzc_sequence, gold_pair
 from spreadopt.simulator import estimate_snr
 from spreadopt.spectral import SpectralCoeffs, _demodulation, decompose
 
@@ -294,25 +300,21 @@ class TestSnr:
         out = snr(cfg, [np.ones(8, dtype=complex)], 1)
         assert out.snr == np.inf
 
-    @pytest.mark.parametrize("n0, p, t", [(5e-324, 100.0, 1.0), (1e-300, 1e300, 1e10),
-                                          (1e300, 1e-10, 1e-10)],
+    @pytest.mark.parametrize("n0, p, t, bad", [(5e-324, 100.0, 1.0, "noise_density"),
+                                               (1e-300, 1e300, 1e10, "power"),
+                                               (1e300, 1e-10, 1e-10, "noise_density")],
                              ids=["subnormal-n0", "2pt-overflows", "quotient-overflows"])
-    def test_noise_quotient_out_of_range_keeps_finite_snr(self, n0, p, t):
-        # N0 / (2PT) rounds to 0.0 or inf, but the SNR sqrt(2PT/N0) is a float
-        cfg = CdmaConfig(n_chips=8, n_users=1, power=p, symbol_duration=t, noise_density=n0)
-        out = snr(cfg, [np.ones(8, dtype=complex)], 1)
-        expected = np.sqrt(2.0) * np.sqrt(p) * np.sqrt(t) / np.sqrt(n0)
-        assert out.snr == pytest.approx(expected, rel=1e-14, abs=0)
-        sim = estimate_snr(cfg, [np.ones(8, dtype=complex)], 1, trials=100, seed=0)
-        assert sim.snr_estimate == pytest.approx(expected, rel=1e-14, abs=0)
+    def test_noise_quotient_out_of_range_keeps_finite_snr(self, n0, p, t, bad):
+        # N0 / (2PT) would round to 0.0 or inf; such a configuration is refused
+        value = re.escape(repr({"noise_density": n0, "power": p}[bad]))
+        with pytest.raises(ValueError, match=rf"^{bad} must be finite .* got {value}$"):
+            CdmaConfig(n_chips=8, n_users=1, power=p, symbol_duration=t, noise_density=n0)
 
     def test_snr_beyond_float_range_raises(self):
-        cfg = CdmaConfig(n_chips=8, n_users=1, power=1e300, symbol_duration=1e150,
-                         noise_density=5e-324)
-        with pytest.raises(OverflowError, match="float range"):
-            snr(cfg, [np.ones(8, dtype=complex)], 1)
-        with pytest.raises(OverflowError, match="float range"):
-            estimate_snr(cfg, [np.ones(8, dtype=complex)], 1, trials=100, seed=0)
+        # sqrt(2PT/N0) would exceed the float range; P is the first value refused
+        with pytest.raises(ValueError, match=r"^power .* got 1e\+300$"):
+            CdmaConfig(n_chips=8, n_users=1, power=1e300, symbol_duration=1e150,
+                       noise_density=5e-324)
 
     def test_consistent_with_definitional_form(self):
         rng = np.random.default_rng(15)
@@ -399,6 +401,9 @@ class TestCdmaConfig:
             dict(n_chips=4, n_users=2, symbol_duration=float("inf")),
             dict(n_chips=4, n_users=2, noise_density=float("nan")),
             dict(n_chips=4, n_users=2, noise_density=float("inf")),
+            dict(n_chips=4, n_users=2, power=9.9e-31),
+            dict(n_chips=4, n_users=2, symbol_duration=1.01e30),
+            dict(n_chips=4, n_users=2, noise_density=5e-324),
         ],
     )
     def test_validation(self, kwargs):
@@ -420,3 +425,84 @@ class TestCdmaConfig:
         assert estimate_snr(numpy_sized, pair, 1, trials=5000, seed=3) == estimate_snr(
             plain, pair, 1, trials=5000, seed=3
         )
+
+
+def corner_sets():
+    """The Gold and FZC pairs at N = 31 and the golden N = 8 design pair."""
+    design = read_sequence_set(os.path.join(os.path.dirname(__file__), "data", "golden",
+                                            "optimize_n8_sequences.json"))
+    return {
+        "gold": [s.entries for s in gold_pair(5)],
+        "fzc": [fzc_sequence(31, 1).entries, fzc_sequence(31, 2).entries],
+        "design-n8": [s.entries for s in design],
+    }
+
+
+def exact_inverse_root(numerator, *denominator_terms):
+    """sqrt(numerator / sum of denominator_terms) to 40 digits, each term a (num, den) pair."""
+    with decimal.localcontext(prec=40):
+        denom = sum(decimal.Decimal(a) / decimal.Decimal(b) for a, b in denominator_terms)
+        return float((decimal.Decimal(numerator) / denom).sqrt())
+
+
+def normal_or_zero(value):
+    return value == 0.0 or sys.float_info.min <= abs(value) < math.inf
+
+
+class TestInputRange:
+    """Every route is finite and normal where P, T, N0 and the chip powers are in range."""
+
+    # a few ulps inside the range, so that the rounded mean square stays in it
+    CHIP_POWERS = [1e-30 * (1 + 1e-15), 1.0, 1e30 * (1 - 1e-15)]
+
+    @pytest.mark.parametrize("n0", [0.0, 1e-30, 1e30])
+    @pytest.mark.parametrize("t", [1e-30, 1e30])
+    @pytest.mark.parametrize("p", [1e-30, 1e30])
+    @pytest.mark.parametrize("chip_power", CHIP_POWERS, ids=["low", "unit", "high"])
+    @pytest.mark.parametrize("family", ["gold", "fzc", "design-n8"])
+    def test_corners_agree_with_the_closed_form(self, family, chip_power, p, t, n0):
+        pair = [math.sqrt(chip_power) * s for s in corner_sets()[family]]
+        n = len(pair[0])
+        cfg = CdmaConfig(n_chips=n, n_users=2, power=p, symbol_duration=t, noise_density=n0)
+        out = snr(cfg, pair, 1)
+        assert all(map(normal_or_zero, vars(out).values()))
+        assert out.s_m_sum > 0.0
+        assert out.snr == pytest.approx(
+            exact_inverse_root(1, (out.s_m_sum, 6 * n**2), (n0, 2 * p * t)), rel=2**-51)
+        assert interference_variance_direct(cfg, pair, 1) == pytest.approx(
+            out.interference_variance, rel=1e-9)
+        sim = estimate_snr(cfg, pair, 1, trials=100, seed=0)
+        assert all(map(normal_or_zero, vars(sim).values()))
+        var_d = p * t**2 / 2.0
+        assert sim.snr_estimate == pytest.approx(
+            exact_inverse_root(var_d, (sim.var_interference_mean, 1), (n0 * t, 4)), rel=2**-51)
+        # the estimate scales as P T^2 times the two chip powers
+        unit = estimate_snr(CdmaConfig(n_chips=n, n_users=2),
+                            corner_sets()[family], 1, trials=100, seed=0)
+        assert sim.var_interference_mean == pytest.approx(
+            unit.var_interference_mean * p * t**2 * chip_power**2, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-80])
+    def test_tiny_chips_refused(self, scale):
+        # at 1e-160 the S_m underflow to 0 and the pair would read as unbounded
+        pair = [scale * s.entries for s in gold_pair(5)]
+        cfg = CdmaConfig(n_chips=31, n_users=2)
+        for route in (snr, interference_variance_direct,
+                      lambda *a: estimate_snr(*a, trials=100, seed=0)):
+            with pytest.raises(ValueError, match=r"^mean chip power of user 1 must be finite "
+                                                 r"and 0 or in \[1e-30, 1e30\], got "):
+                route(cfg, pair, 1)
+
+    def test_huge_chip_refused_without_a_warning(self):
+        # the square overflows to inf; pytest turns a RuntimeWarning into an error
+        cfg = CdmaConfig(n_chips=4, n_users=1)
+        with pytest.raises(ValueError, match=r"mean chip power of user 1 .* got inf$"):
+            snr(cfg, [np.array([1e200, 1.0, 1.0, 1.0])], 1)
+
+    def test_spectral_coeffs_bounded_by_their_alpha(self):
+        cfg = CdmaConfig(n_chips=4, n_users=2)
+        silent = SpectralCoeffs(alpha=np.zeros(4), beta=np.zeros(4))
+        tiny = SpectralCoeffs(alpha=np.full(4, 1e-20), beta=np.full(4, 1.0))
+        assert snr(cfg, [silent, silent], 1).snr == math.inf
+        with pytest.raises(ValueError, match=r"^mean chip power of user 2 .* got 1e-40$"):
+            snr(cfg, [silent, tiny], 1)

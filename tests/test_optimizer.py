@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from spreadopt.optimizer import (
     SolverConfig,
     _block_minimizer,
     _openblas,
+    _trust_region_step,
     _euclidean_hessian,
     _kkt_residual_reduced,
     complexify,
@@ -243,6 +246,23 @@ class TestSolveLocal:
         assert any(rejected)
         assert len(set(built)) == len(built) <= len(rejected) - sum(rejected) + 1
 
+    @pytest.mark.parametrize("restart", [51, 196])
+    def test_hard_case_restarts_converge(self, monkeypatch, restart):
+        # at N = 3 these restarts meet the hard case on their first polish step
+        steps = []
+        trust_region_step = optimizer._trust_region_step
+
+        def recording_step(*args):
+            steps.append(trust_region_step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(optimizer, "_trust_region_step", recording_step)
+        start = random_feasible_point(3, 2, restart_seed(20260810, restart))
+        report = solve_local(start, SolverConfig())
+        assert report.converged
+        assert report.iterations < 100
+        assert steps and all(np.all(np.isfinite(step)) for step in steps)
+
     def test_report_is_its_own_single_restart(self):
         report = solve_local(random_feasible_point(8, 2, 5), SolverConfig())
         assert report.seed is None and report.restarts == []
@@ -277,6 +297,19 @@ class TestSolveLocal:
             emitted = decompose(seq)
             assert np.max(np.abs(emitted.beta - phi_hat @ emitted.alpha)) <= 1e-12
             assert np.max(np.abs(emitted.beta - coeffs.beta)) <= 1e-12
+
+
+class TestTrustRegionStep:
+    def test_newton_step_inside_the_radius(self):
+        step = _trust_region_step(np.array([1.0, 2.0]), np.array([-0.5, 1.0]), 1.0)
+        assert np.array_equal(step, [0.5, -0.5])
+
+    def test_hard_case_reaches_the_radius(self):
+        # lambda_min < 0 and the gradient is 0 on its eigenvector (Nocedal &
+        # Wright, section 4.3): mu = -lambda_min, plus tau times that eigenvector
+        step = _trust_region_step(np.array([-1.0, 2.0]), np.array([0.0, 1.0]), 1.0)
+        assert step[1] == -1.0 / 3.0
+        assert step[0] == pytest.approx(np.sqrt(8.0) / 3.0, rel=1e-15)
 
 
 class TestEuclideanHessian:
@@ -396,7 +429,7 @@ class TestSolveMultistart:
 
         cfg = SolverConfig(restarts=2, seed=17)
         serial = solve_multistart(8, cfg, threads=1)
-        monkeypatch.setattr(optimizer, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         pooled = solve_multistart(8, cfg, threads=8)
         assert widths == [2]
         assert pooled.restart_snrs == serial.restart_snrs

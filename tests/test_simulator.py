@@ -9,7 +9,6 @@ from spreadopt.interference import (
     _bit_table,
     interference_variance_direct,
     partial_sum_table,
-    snr,
 )
 from spreadopt.sequences import fzc_sequence, gold_pair, single_tone_sequence
 from spreadopt.simulator import estimate_snr
@@ -87,11 +86,9 @@ class TestEstimateSnr:
         assert out.snr_estimate == np.inf
 
     def test_subnormal_noise_snr_does_not_overflow(self):
-        # Var_D / Var_N overflows to inf for a subnormal N0; the SNR is finite
-        cfg = CdmaConfig(n_chips=8, n_users=1, noise_density=4e-310)
-        out = estimate_snr(cfg, [np.ones(8, dtype=complex)], 1, trials=100, seed=0)
-        assert out.snr_estimate == snr(cfg, [np.ones(8, dtype=complex)], 1).snr
-        assert out.snr_estimate == pytest.approx(7.071067811865486e154, rel=1e-15)
+        # Var_D / Var_N would overflow for a subnormal N0, which is refused
+        with pytest.raises(ValueError, match=r"^noise_density .* got 4e-310$"):
+            CdmaConfig(n_chips=8, n_users=1, noise_density=4e-310)
 
     def test_deterministic_given_seed(self):
         cfg = CdmaConfig(n_chips=31, n_users=2)
