@@ -29,11 +29,10 @@ import numpy as np
 
 from . import __version__
 from .interference import CdmaConfig, snr
-from .metrics import CorrelationPeaks, correlation_peaks, sarwate_check
+from .metrics import CorrelationPeaks, _set_quality
 from .optimizer import SolverConfig, solve_multistart
 from .sequences import ChipSequence, fzc_sequence, gold_family, single_tone_sequence
 from .simulator import estimate_snr
-from .spectral import decompose
 
 __all__ = ["main", "read_sequence_set", "write_sequence_set"]
 
@@ -167,12 +166,19 @@ def _fields(record) -> dict:
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
+def _quality_fields(quality) -> dict:
+    """A set's quality record as output values, keyed by its fields in declaration order."""
+    values = {name: _fields(value) if dataclasses.is_dataclass(value) else value
+              for name, value in _fields(quality).items()}
+    return dict(values, snr=[_snr_value(value) for value in quality.snr])
+
+
 CSV_HEADER = ["label", *(f.name for f in dataclasses.fields(CorrelationPeaks)), "snr"]
 
 
-def _csv_row(label: str, peaks, breakdown) -> list[str]:
-    """The peaks of a set and the SNR of its user 1, as one CSV row."""
-    return [label, *map(repr, _fields(peaks).values()), str(_snr_value(breakdown.snr))]
+def _csv_row(label: str, quality) -> list[str]:
+    """The peaks of a set and the SNR of its first scored user, as one CSV row."""
+    return [label, *map(repr, _fields(quality.peaks).values()), str(_snr_value(quality.snr[0]))]
 
 
 def _thread_count(threads) -> int:
@@ -241,9 +247,7 @@ def cmd_generate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     users, selected, cfg = _user_set(args)
-    coeffs = [decompose(s) for s in selected]
-    breakdowns = [snr(cfg, coeffs, u) for u in range(1, len(selected) + 1)]
-    peaks = correlation_peaks(coeffs)
+    quality = _set_quality(cfg, selected, range(1, len(selected) + 1))
     payload = {
         "command": args.command,
         "n_chips": cfg.n_chips,
@@ -252,18 +256,13 @@ def cmd_evaluate(args) -> int:
         "power": args.power,
         "symbol_duration": args.symbol_duration,
         "noise_density": args.noise,
-        "snr": [_snr_value(b.snr) for b in breakdowns],
-        "interference_variance": [b.interference_variance for b in breakdowns],
-        "noise_variance": breakdowns[0].noise_variance,
-        "peaks": _fields(peaks),
-        "sarwate": (_fields(sarwate_check(peaks, cfg.n_chips, len(selected)))
-                    if len(selected) >= 2 else None),
+        **_quality_fields(quality),
     }
     # the report is serialized first, so that a refused report writes no CSV,
     # and the CSV goes before the report, so that a failed write prints none
     report = _json_text(payload)
     if args.csv:
-        row = _csv_row("+".join(payload["labels"]), peaks, breakdowns[0])
+        row = _csv_row("+".join(payload["labels"]), quality)
         _write_csv(args.csv, CSV_HEADER, [row])
         _write_manifest(os.path.dirname(os.path.abspath(args.csv)), args)
     sys.stdout.write(report)
@@ -285,6 +284,9 @@ def _report_payload(report, args) -> dict:
         "iterations": report.iterations,
         "restarts": len(report.restarts),
         "restarts_converged": sum(r.converged for r in report.restarts),
+        # the emitted pair as evaluate scores sequences.json under the default physics
+        "pair": _quality_fields(_set_quality(
+            CdmaConfig(n_chips=report.n_chips, n_users=2), report.best_sequences, (1, 2))),
     }
 
 
@@ -375,14 +377,12 @@ def cmd_scatter(args) -> int:
     for path in args.set_files:
         try:
             sequences = read_sequence_set(path)
-            coeffs = [decompose(s) for s in sequences]
-            peaks = correlation_peaks(coeffs)
             cfg = CdmaConfig(n_chips=sequences[0].n_chips, n_users=len(sequences))
-            breakdown = snr(cfg, coeffs, 1)
+            quality = _set_quality(cfg, sequences, [1])  # user 1 only: all K would cost O(K^2)
         except (CliError, ValueError) as exc:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
             continue
-        rows.append(_csv_row(os.path.splitext(os.path.basename(path))[0], peaks, breakdown))
+        rows.append(_csv_row(os.path.splitext(os.path.basename(path))[0], quality))
     if not rows:
         raise CliError("no readable sequence sets")
     _write_csv(args.out, CSV_HEADER, rows)

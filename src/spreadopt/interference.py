@@ -235,9 +235,16 @@ def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
     (s_sum/(6N^2) + N0/(2PT))^(-1/2) as written: N0/(2PT) is 0 or in [5e-91,
     5e89], and s_sum/(6N^2) is at most (K-1) 1e60/4, as each S_m weight is at
     most 3/2 and each ||alpha||^2 at most 1e30 N, so no quotient overflows.
+    A positive S_m sum so small that s_sum/(6N^2) rounds to 0 while N0 = 0
+    raises ValueError naming the sum.
     """
     users = _check_user_set(cfg, sequences, i)
     coeffs = [u if isinstance(u, SpectralCoeffs) else decompose(u) for u in users]
+    return _user_snr(cfg, coeffs, i)
+
+
+def _user_snr(cfg: CdmaConfig, coeffs: list[SpectralCoeffs], i: int) -> SnrBreakdown:
+    """snr of user i for the SpectralCoeffs of a set that _check_user_set accepted."""
     # sum_{k != i} sum_m S_m(i, k)
     s_sum = 0.0
     for k, ck in enumerate(coeffs, start=1):
@@ -247,7 +254,10 @@ def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
     var_i = p * t**2 / (12.0 * cfg.n_chips**2) * s_sum
     var_n = n0 * t / 4.0
     denom = s_sum / (6.0 * cfg.n_chips**2) + n0 / (2.0 * p * t)
-    value = math.inf if s_sum == 0.0 and n0 == 0.0 else denom**-0.5
+    if denom == 0.0 and s_sum != 0.0:
+        raise ValueError(f"S_m sum of user {i} is {s_sum!r}: s_sum/(6N^2) rounds to 0, "
+                         "so the SNR is not computable")
+    value = math.inf if denom == 0.0 else denom**-0.5
     return SnrBreakdown(
         interference_variance=var_i,
         noise_variance=var_n,

@@ -43,7 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import SpectralCoeffs, _demodulation
+from .interference import CdmaConfig, _check_user_set, _user_snr
+from .spectral import SpectralCoeffs, _demodulation, decompose
 
 __all__ = [
     "CorrelationPeaks",
@@ -145,4 +146,35 @@ def sarwate_check(peaks: CorrelationPeaks, n_chips: int, n_users: int) -> Sarwat
         lhs_aperiodic=lhs_a,
         satisfied_periodic=lhs_p >= 1.0 - _SARWATE_SLACK,
         satisfied_aperiodic=lhs_a >= 1.0 - _SARWATE_SLACK,
+    )
+
+
+@dataclass(frozen=True)
+class _SetQuality:
+    """A user set's SNR breakdown per scored user, peaks and Sarwate report (None for one user).
+
+    The fields, in declaration order, name the values the CLI reports.
+    """
+
+    snr: tuple[float, ...]
+    interference_variance: tuple[float, ...]
+    noise_variance: float
+    peaks: CorrelationPeaks
+    sarwate: SarwateReport | None
+
+
+def _set_quality(cfg: CdmaConfig, sequences, scored) -> _SetQuality:
+    """The record of a chip-sequence set for the 1-based users in ``scored``.
+
+    The set is validated once; each SNR is the one interference.snr gives.
+    """
+    coeffs = [decompose(s) for s in _check_user_set(cfg, sequences, 1)]
+    breakdowns = [_user_snr(cfg, coeffs, i) for i in scored]
+    peaks = correlation_peaks(coeffs)
+    return _SetQuality(
+        snr=tuple(b.snr for b in breakdowns),
+        interference_variance=tuple(b.interference_variance for b in breakdowns),
+        noise_variance=breakdowns[0].noise_variance,
+        peaks=peaks,
+        sarwate=sarwate_check(peaks, cfg.n_chips, cfg.n_users) if cfg.n_users >= 2 else None,
     )

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spreadopt import __version__, cli, optimizer
+from spreadopt import __version__, cli, interference, metrics, optimizer
 from spreadopt.cli import main, read_sequence_set, write_sequence_set
 from spreadopt.interference import CdmaConfig, interference_variance_direct
 from spreadopt.metrics import correlation_peaks, sarwate_check
@@ -237,6 +237,33 @@ class TestEvaluate:
                        names=["power", "1e+300"])
         assert list(out.parent.iterdir()) == []
 
+    def test_set_is_validated_once(self, tmp_path, capsys, monkeypatch):
+        # one check of the set, and one chip-power check per user, however
+        # many users are scored
+        gold = tmp_path / "gold3.json"
+        assert main(["generate", "gold", "--degree", "5", "--indices", "2,3,4",
+                     "--out", str(gold)]) == 0
+        set_checks, power_checks = [], []
+        check_user_set, check_range = interference._check_user_set, interference._check_range
+
+        def counted_check_user_set(*args, **kwargs):
+            set_checks.append(args)
+            return check_user_set(*args, **kwargs)
+
+        def counted_check_range(name, value, zero_ok):
+            if name.startswith("mean chip power"):
+                power_checks.append(name)
+            check_range(name, value, zero_ok)
+
+        monkeypatch.setattr(interference, "_check_user_set", counted_check_user_set)
+        monkeypatch.setattr(metrics, "_check_user_set", counted_check_user_set)
+        monkeypatch.setattr(interference, "_check_range", counted_check_range)
+        capsys.readouterr()
+        code, _, _ = run(capsys, "evaluate", str(gold), "--users", "1,2,3")
+        assert code == 0
+        assert len(set_checks) == 1
+        assert power_checks == [f"mean chip power of user {k}" for k in (1, 2, 3)]
+
     def test_nan_peaks_refused(self, tmp_path, capsys):
         # the chip's square overflows, so the set is refused before any peak
         huge = tmp_path / "huge.json"
@@ -320,6 +347,22 @@ class TestOptimize:
         snr_lines = (out_a / "restart_snrs.csv").read_text().splitlines()
         assert snr_lines[0] == "snr"
         assert len(snr_lines) == 1 + 3
+
+    def test_evaluate_reproduces_the_pair_block(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["optimize", "--n", "8", "--restarts", "2", "--seed", "5",
+                     "--threads", "1", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        pair = report["pair"]
+        assert list(report)[-1] == "pair"
+        assert report["snr"] == pair["snr"][0]
+        capsys.readouterr()
+        code, stdout, _ = run(capsys, "evaluate", str(out / "sequences.json"), "--users", "1,2")
+        assert code == 0
+        payload = json.loads(stdout)
+        # the same keys, in the same order, with the same values
+        assert list(payload)[-len(pair):] == list(pair)
+        assert {key: payload[key] for key in pair} == pair
 
     def test_thread_count_does_not_change_outputs(self, tmp_path):
         base = ["optimize", "--n", "8", "--restarts", "2", "--seed", "3"]

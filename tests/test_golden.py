@@ -8,10 +8,12 @@ regenerates the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in its description.  The ``optimize`` cases pin the files of two
-design runs: N = 8, where the trust-region polish does most of the work, and
-N = 31, the benchmark's size, where the block-minimizer sweeps take most of
-the iterations.  Each restart runs with OpenBLAS pinned to one thread, so
+and says why in its description.  That script prints the OpenBLAS kernel
+once, then each fixture as unchanged or with its added and removed line
+counts, and rewrites only the fixtures that changed.  The ``optimize`` cases
+pin the files of two design runs: N = 8, where the trust-region polish does
+most of the work, and N = 31, the benchmark's size, where the block-minimizer
+sweeps take most of the iterations.  Each restart runs with OpenBLAS pinned to one thread, so
 their bytes do not depend on the thread count.  They do depend on the kernel
 OpenBLAS picks for the CPU: the solver's ``eigh`` and matrix products round
 differently per kernel, and the fixtures were made under the SkylakeX kernel
@@ -169,17 +171,28 @@ def test_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
 
 
 def _regenerate():
+    """Rewrite each fixture whose bytes changed; print the kernel and each fixture's diff."""
+    import difflib
     import tempfile
 
+    print(f"OpenBLAS kernel: {_openblas_core()}")
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for case in CASES:
         with tempfile.TemporaryDirectory() as workdir:
             outputs = _case_outputs(case, workdir)
         for name, data in outputs.items():
             path = os.path.join(GOLDEN_DIR, name)
+            old = _read(path) if os.path.exists(path) else b""
+            if data == old:
+                print(f"{name}: unchanged")
+                continue
+            diff = list(difflib.unified_diff(old.decode().splitlines(),
+                                             data.decode().splitlines(), lineterm="", n=0))[2:]
+            added = sum(line.startswith("+") for line in diff)
+            removed = sum(line.startswith("-") for line in diff)
             with open(path, "wb") as fh:
                 fh.write(data)
-            print(f"wrote {path}", file=sys.stderr)
+            print(f"{name}: +{added} -{removed} lines, rewritten")
 
 
 if __name__ == "__main__":

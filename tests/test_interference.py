@@ -316,6 +316,17 @@ class TestSnr:
             CdmaConfig(n_chips=8, n_users=1, power=1e300, symbol_duration=1e150,
                        noise_density=5e-324)
 
+    def test_underflowing_s_m_sum_raises(self):
+        # each chip power is in range, but the only cross term is a subnormal
+        # S_m sum, so s_sum/(6N^2) rounds to 0 while N0 = 0; with noise the
+        # same pair keeps its finite SNR sqrt(2PT/N0)
+        zeros = np.zeros(4)
+        pair = [SpectralCoeffs([2, 0, 0, 0], zeros), SpectralCoeffs([2.3e-162, 2, 0, 0], zeros)]
+        with pytest.raises(ValueError, match=r"^S_m sum of user 1 is \d.*e-32\d: s_sum/\(6N\^2\)"):
+            snr(CdmaConfig(4, 2), pair, 1)
+        noisy = snr(CdmaConfig(4, 2, noise_density=1.0), pair, 1)
+        assert noisy.snr == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
     def test_consistent_with_definitional_form(self):
         rng = np.random.default_rng(15)
         n = 16

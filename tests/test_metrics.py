@@ -3,13 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+from spreadopt.interference import CdmaConfig, snr
 from spreadopt.metrics import (
+    _set_quality,
     aperiodic_correlation,
     correlation_peaks,
     periodic_correlation,
     sarwate_check,
 )
-from spreadopt.sequences import fzc_sequence, gold_pair, single_tone_sequence
+from spreadopt.sequences import fzc_sequence, gold_family, gold_pair, single_tone_sequence
 from spreadopt.spectral import decompose
 
 
@@ -214,3 +216,21 @@ class TestSarwate:
         coeffs = [decompose(fzc_sequence(31, 1).entries)]
         with pytest.raises(ValueError):
             sarwate_check(correlation_peaks(coeffs), 31, 1)
+
+
+class TestSetQuality:
+    def test_fields_are_those_of_the_public_routes(self):
+        family = gold_family(5)[2:5]
+        cfg = CdmaConfig(n_chips=31, n_users=3, power=2.0, noise_density=0.01)
+        quality = _set_quality(cfg, family, [3, 1])
+        breakdowns = [snr(cfg, family, i) for i in (3, 1)]
+        assert quality.snr == tuple(b.snr for b in breakdowns)
+        assert quality.interference_variance == tuple(b.interference_variance for b in breakdowns)
+        assert quality.noise_variance == breakdowns[0].noise_variance
+        assert quality.peaks == correlation_peaks([decompose(s) for s in family])
+        assert quality.sarwate == sarwate_check(quality.peaks, 31, 3)
+
+    def test_one_user_has_no_sarwate_report(self):
+        quality = _set_quality(CdmaConfig(n_chips=31, n_users=1), gold_pair(5)[:1], [1])
+        assert quality.snr == (np.inf,)
+        assert quality.sarwate is None
