@@ -23,6 +23,8 @@ the same under every kernel; a subprocess test checks this for ``simulate``
 and ``evaluate``.  The ``simulate_gold3`` case
 has two interferers and a one-trial tail block, and passes ``--threads 2``,
 which simulate accepts and ignores.  The
+``evaluate_gold5`` case scores five users in an order other than the set's,
+so it pins the order in which each user's interferers are summed.  The
 ``generate``, ``evaluate_csv``, ``scatter`` and ``simulate_out`` cases pin
 the files each file-writing command leaves behind (manifests excepted: they
 carry a timestamp and absolute paths).
@@ -73,6 +75,12 @@ def _read(path) -> bytes:
         return fh.read()
 
 
+def _gold5(workdir):
+    gold5 = os.path.join(workdir, "gold5.json")
+    _stdout_of(["generate", "gold", "--degree", "5", "--indices", "2,3,4,5,6", "--out", gold5])
+    return gold5
+
+
 def _tone(workdir):
     tone = os.path.join(workdir, "tone.json")
     _stdout_of(["generate", "tone", "--n", "16", "--k", "1,5", "--out", tone])
@@ -86,6 +94,9 @@ def _case_outputs(case, workdir) -> dict[str, bytes]:
         return {f"{case}.json": _stdout_of(["evaluate", gold, "--users", "1,2"])}
     if case == "evaluate_fzc127":
         return {f"{case}.json": _stdout_of(["evaluate", fzc, "--users", "1,2"])}
+    if case == "evaluate_gold5":
+        return {f"{case}.json": _stdout_of(["evaluate", _gold5(workdir), "--users", "5,1,4,2,3",
+                                            "--noise", "0.01"])}
     if case == "simulate_gold":
         return {f"{case}.json": _stdout_of(["simulate", gold, "--users", "1,2", "--threads", "1",
                                             "--trials", "20000", "--seed", "123"])}
@@ -126,7 +137,7 @@ def _case_outputs(case, workdir) -> dict[str, bytes]:
     raise ValueError(f"unknown golden case {case!r}")
 
 
-CASES = ("evaluate_gold", "evaluate_fzc127", "simulate_gold", "simulate_gold3", "optimize_n8",
+CASES = ("evaluate_gold", "evaluate_fzc127", "evaluate_gold5", "simulate_gold", "simulate_gold3", "optimize_n8",
          "optimize_n31", "generate", "evaluate_csv", "scatter", "simulate_out")
 
 
@@ -154,11 +165,13 @@ def test_cli_output_matches_golden(case, tmp_path):
 
 def test_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
     gold, fzc = _inputs(str(tmp_path))
+    gold5 = _gold5(str(tmp_path))
     script = (
         "from spreadopt.cli import main\n"
         f"main(['simulate', {gold!r}, '--users', '1,2', '--threads', '1',"
         " '--trials', '20000', '--seed', '123'])\n"
         f"main(['evaluate', {fzc!r}, '--users', '1,2'])\n"
+        f"main(['evaluate', {gold5!r}, '--users', '5,1,4,2,3', '--noise', '0.01'])\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join([os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")])
