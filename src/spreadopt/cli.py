@@ -378,7 +378,7 @@ def cmd_scatter(args) -> int:
         try:
             sequences = read_sequence_set(path)
             cfg = CdmaConfig(n_chips=sequences[0].n_chips, n_users=len(sequences))
-            quality = _set_quality(cfg, sequences, [1])  # user 1 only: all K would cost O(K^2)
+            quality = _set_quality(cfg, sequences, [1])  # user 1 only: the row has one SNR column
         except (CliError, ValueError) as exc:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
             continue

@@ -38,7 +38,7 @@ Var_N = N0 T / 4 for white noise of two-sided density N0/2.
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -130,8 +130,9 @@ def _check_user_set(cfg: CdmaConfig, sequences, i: int, chips_only: bool = False
     Returns the set with every chip sequence replaced by its chip vector;
     SpectralCoeffs are passed through unchanged, or rejected with a ValueError
     when ``chips_only`` is set by a route that integrates over chips.  Each
-    user's mean chip power ||s||^2/N (||alpha||^2/N for SpectralCoeffs) must
-    be 0 or in [1e-30, 1e30]; a square beyond the float range is inf, unwarned.
+    user's mean chip power ||s||^2/N (for SpectralCoeffs, ||alpha||^2/N and
+    ||beta||^2/N) must be 0 or in [1e-30, 1e30]; a square beyond the float
+    range is inf, unwarned.
     """
     if len(sequences) != cfg.n_users:
         raise ValueError(
@@ -145,12 +146,14 @@ def _check_user_set(cfg: CdmaConfig, sequences, i: int, chips_only: bool = False
     users = [s if isinstance(s, SpectralCoeffs) else sequence_entries(s) for s in sequences]
     with np.errstate(over="ignore"):
         for k, u in enumerate(users, start=1):
-            chips = np.ascontiguousarray(u.alpha if isinstance(u, SpectralCoeffs) else u)
-            if chips.shape[0] != cfg.n_chips:
-                raise ValueError("sequence length does not match cfg.n_chips")
-            parts = chips.view(float)  # the Re and Im parts, whose squares sum to ||s||^2
-            power = float(np.einsum("i,i->", parts, parts)) / cfg.n_chips
-            _check_range(f"mean chip power of user {k}", power, zero_ok=True)
+            for name, v in ([("mean chip power", u.alpha), ("||beta||^2/N", u.beta)]
+                            if isinstance(u, SpectralCoeffs) else [("mean chip power", u)]):
+                v = np.ascontiguousarray(v)
+                if v.shape[0] != cfg.n_chips:
+                    raise ValueError("sequence length does not match cfg.n_chips")
+                parts = v.view(float)  # the Re and Im parts, whose squares sum to ||v||^2
+                power = float(np.einsum("i,i->", parts, parts)) / cfg.n_chips
+                _check_range(f"{name} of user {k}", power, zero_ok=True)
     return users
 
 
@@ -202,6 +205,22 @@ def _weights(n_chips: int) -> tuple[np.ndarray, np.ndarray]:
     return w_alpha, w_beta
 
 
+def _powers(coeffs) -> np.ndarray:
+    """The (K, 2, N) stack of |alpha|^2 and |beta|^2 of a set's SpectralCoeffs."""
+    return np.abs(np.array([(c.alpha, c.beta) for c in coeffs])) ** 2
+
+
+def _s_m(pq_i: np.ndarray, pq_k: np.ndarray) -> np.ndarray:
+    """S_m of user i against user k, or against each k of a stack, from _powers rows."""
+    w_alpha, w_beta = _weights(pq_i.shape[-1])
+    return pq_i[0] * pq_k[..., 0, :] * w_alpha + pq_i[1] * pq_k[..., 1, :] * w_beta
+
+
+def _s_row(powers: np.ndarray, i: int) -> np.ndarray:
+    """Entry k-1 is sum_m S_m(i, k), for user i and every user k of a _powers stack."""
+    return np.sum(_s_m(powers[i - 1], powers), axis=-1)
+
+
 def s_m_terms(c_i: SpectralCoeffs, c_k: SpectralCoeffs) -> np.ndarray:
     """Per-frequency interference weights S_m for one user pair.
 
@@ -211,11 +230,7 @@ def s_m_terms(c_i: SpectralCoeffs, c_k: SpectralCoeffs) -> np.ndarray:
     """
     if c_i.n_chips != c_k.n_chips:
         raise ValueError("coefficient vectors must have equal length")
-    w_alpha, w_beta = _weights(c_i.n_chips)
-    return (
-        np.abs(c_i.alpha) ** 2 * np.abs(c_k.alpha) ** 2 * w_alpha
-        + np.abs(c_i.beta) ** 2 * np.abs(c_k.beta) ** 2 * w_beta
-    )
+    return _s_m(*_powers([c_i, c_k]))
 
 
 def interference_variance_spectral(cfg: CdmaConfig, sequences, i: int) -> float:
@@ -234,22 +249,20 @@ def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
     finite value and is reported as snr = inf.  Otherwise the SNR is
     (s_sum/(6N^2) + N0/(2PT))^(-1/2) as written: N0/(2PT) is 0 or in [5e-91,
     5e89], and s_sum/(6N^2) is at most (K-1) 1e60/4, as each S_m weight is at
-    most 3/2 and each ||alpha||^2 at most 1e30 N, so no quotient overflows.
-    A positive S_m sum so small that s_sum/(6N^2) rounds to 0 while N0 = 0
-    raises ValueError naming the sum.
+    most 3/2 and each ||alpha||^2 and ||beta||^2 at most 1e30 N, so no
+    quotient overflows.  A positive S_m sum so small that s_sum/(6N^2) rounds
+    to 0 while N0 = 0 raises ValueError naming the sum.
     """
     users = _check_user_set(cfg, sequences, i)
-    coeffs = [u if isinstance(u, SpectralCoeffs) else decompose(u) for u in users]
-    return _user_snr(cfg, coeffs, i)
+    return _user_snr(cfg, _powers([u if isinstance(u, SpectralCoeffs) else decompose(u)
+                                   for u in users]), i)
 
 
-def _user_snr(cfg: CdmaConfig, coeffs: list[SpectralCoeffs], i: int) -> SnrBreakdown:
-    """snr of user i for the SpectralCoeffs of a set that _check_user_set accepted."""
-    # sum_{k != i} sum_m S_m(i, k)
-    s_sum = 0.0
-    for k, ck in enumerate(coeffs, start=1):
-        if k != i:
-            s_sum += float(np.sum(s_m_terms(coeffs[i - 1], ck)))
+def _user_snr(cfg: CdmaConfig, powers: np.ndarray, i: int) -> SnrBreakdown:
+    """snr of user i for the _powers stack of a set that _check_user_set accepted."""
+    # sum_{k != i} sum_m S_m(i, k) left to right in set order, as fsum and sum round otherwise
+    row = _s_row(powers, i).tolist()
+    s_sum = reduce(operator.add, row[:i - 1] + row[i:], 0.0)
     p, t, n0 = cfg.power, cfg.symbol_duration, cfg.noise_density
     var_i = p * t**2 / (12.0 * cfg.n_chips**2) * s_sum
     var_n = n0 * t / 4.0

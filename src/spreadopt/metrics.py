@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .interference import CdmaConfig, _check_user_set, _user_snr
+from .interference import CdmaConfig, _check_user_set, _powers, _user_snr
 from .spectral import SpectralCoeffs, _demodulation, decompose
 
 __all__ = [
@@ -169,7 +169,8 @@ def _set_quality(cfg: CdmaConfig, sequences, scored) -> _SetQuality:
     The set is validated once; each SNR is the one interference.snr gives.
     """
     coeffs = [decompose(s) for s in _check_user_set(cfg, sequences, 1)]
-    breakdowns = [_user_snr(cfg, coeffs, i) for i in scored]
+    powers = _powers(coeffs)
+    breakdowns = [_user_snr(cfg, powers, i) for i in scored]
     peaks = correlation_peaks(coeffs)
     return _SetQuality(
         snr=tuple(b.snr for b in breakdowns),

@@ -11,6 +11,8 @@ import pytest
 from spreadopt.interference import (
     CdmaConfig,
     _bit_table,
+    _powers,
+    _s_row,
     _weights,
     interference_variance_direct,
     interference_variance_spectral,
@@ -19,7 +21,7 @@ from spreadopt.interference import (
     snr,
 )
 from spreadopt.cli import read_sequence_set
-from spreadopt.sequences import fzc_sequence, gold_pair
+from spreadopt.sequences import fzc_sequence, gold_family, gold_pair
 from spreadopt.simulator import estimate_snr
 from spreadopt.spectral import SpectralCoeffs, _demodulation, decompose
 
@@ -288,6 +290,25 @@ class TestSmTerms:
             partial_sum_table(np.ones(4), np.ones(5))
 
 
+class TestSRow:
+    """Each entry of a user's S-sum row is the sum of that pair's s_m_terms, bit for bit."""
+
+    @pytest.mark.parametrize("family", ["gold5", "fzc127", "complex31", "complex1023"])
+    def test_row_equals_the_pair_sums(self, family):
+        rng = np.random.default_rng(23)
+        chips = {
+            "gold5": lambda: [s.entries for s in gold_family(5)],
+            "fzc127": lambda: [fzc_sequence(127, m).entries for m in (1, 2, 3, 5, 8)],
+            "complex31": lambda: [random_unit_modulus(31, rng) for _ in range(5)],
+            "complex1023": lambda: [random_unit_modulus(1023, rng) for _ in range(5)],
+        }[family]()
+        coeffs = [decompose(s) for s in chips]
+        powers = _powers(coeffs)
+        for i, c_i in enumerate(coeffs, start=1):
+            assert _s_row(powers, i).tolist() == [float(np.sum(s_m_terms(c_i, c_k)))
+                                                  for c_k in coeffs]
+
+
 class TestSnr:
     def test_noise_only(self):
         cfg = CdmaConfig(n_chips=8, n_users=1, power=2.0, symbol_duration=3.0, noise_density=0.5)
@@ -517,3 +538,14 @@ class TestInputRange:
         assert snr(cfg, [silent, silent], 1).snr == math.inf
         with pytest.raises(ValueError, match=r"^mean chip power of user 2 .* got 1e-40$"):
             snr(cfg, [silent, tiny], 1)
+
+    @pytest.mark.parametrize("bad, got", [(1e200, "inf"), (math.nan, "nan")])
+    def test_spectral_coeffs_bounded_by_their_beta(self, bad, got):
+        # an unchecked beta gave snr 0.0 with an overflow warning, or snr nan
+        cfg = CdmaConfig(n_chips=4, n_users=2)
+        pair = [SpectralCoeffs([2, 0, 0, 0], [bad, 0, 0, 0]),
+                SpectralCoeffs([0, 2, 0, 0], [bad, 0, 0, 0])]
+        for route in (snr, interference_variance_spectral):
+            with pytest.raises(ValueError, match=r"^\|\|beta\|\|\^2/N of user 1 must be finite "
+                                                 rf"and 0 or in \[1e-30, 1e30\], got {got}$"):
+                route(cfg, pair, 1)

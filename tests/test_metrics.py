@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from spreadopt import interference
 from spreadopt.interference import CdmaConfig, snr
 from spreadopt.metrics import (
     _set_quality,
@@ -229,6 +230,18 @@ class TestSetQuality:
         assert quality.noise_variance == breakdowns[0].noise_variance
         assert quality.peaks == correlation_peaks([decompose(s) for s in family])
         assert quality.sarwate == sarwate_check(quality.peaks, 31, 3)
+
+    def test_every_user_scored_from_rows_as_snr_scores_it(self, monkeypatch):
+        # each scored user's S sums come from one row over the set, with no
+        # per-pair s_m_terms call, and every SNR is the one snr gives
+        family = gold_family(5)
+        cfg = CdmaConfig(n_chips=31, n_users=len(family), noise_density=0.01)
+        calls, s_m_terms = [], interference.s_m_terms
+        monkeypatch.setattr(interference, "s_m_terms", lambda *a: calls.append(a) or s_m_terms(*a))
+        quality = _set_quality(cfg, family, range(1, len(family) + 1))
+        for i in range(1, len(family) + 1):
+            assert quality.snr[i - 1] == snr(cfg, family, i).snr
+        assert calls == []
 
     def test_one_user_has_no_sarwate_report(self):
         quality = _set_quality(CdmaConfig(n_chips=31, n_users=1), gold_pair(5)[:1], [1])
