@@ -254,13 +254,14 @@ def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
     to 0 while N0 = 0 raises ValueError naming the sum.
     """
     users = _check_user_set(cfg, sequences, i)
-    return _user_snr(cfg, _powers([u if isinstance(u, SpectralCoeffs) else decompose(u)
-                                   for u in users]), i)
+    coeffs = [u if isinstance(u, SpectralCoeffs) else decompose(u) for u in users]
+    return _user_snr(cfg, _powers(coeffs), i)
 
 
 def _user_snr(cfg: CdmaConfig, powers: np.ndarray, i: int) -> SnrBreakdown:
     """snr of user i for the _powers stack of a set that _check_user_set accepted."""
-    # sum_{k != i} sum_m S_m(i, k) left to right in set order, as fsum and sum round otherwise
+    # sum_{k != i} sum_m S_m(i, k), added left to right in set order: math.fsum, and
+    # the builtin sum from Python 3.12 on, round differently and would move output bytes
     row = _s_row(powers, i).tolist()
     s_sum = reduce(operator.add, row[:i - 1] + row[i:], 0.0)
     p, t, n0 = cfg.power, cfg.symbol_duration, cfg.noise_density

@@ -137,8 +137,8 @@ def _case_outputs(case, workdir) -> dict[str, bytes]:
     raise ValueError(f"unknown golden case {case!r}")
 
 
-CASES = ("evaluate_gold", "evaluate_fzc127", "evaluate_gold5", "simulate_gold", "simulate_gold3", "optimize_n8",
-         "optimize_n31", "generate", "evaluate_csv", "scatter", "simulate_out")
+CASES = ("evaluate_gold", "evaluate_fzc127", "evaluate_gold5", "simulate_gold", "simulate_gold3",
+         "optimize_n8", "optimize_n31", "generate", "evaluate_csv", "scatter", "simulate_out")
 
 
 def _openblas_core() -> str:
