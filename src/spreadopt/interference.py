@@ -124,15 +124,12 @@ def partial_sum_table(s_i, s_k) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _check_user_set(cfg: CdmaConfig, sequences, i: int, chips_only: bool = False) -> list:
-    """Validate a user set of chip sequences and/or SpectralCoeffs for user i.
+def _check_user_set(cfg: CdmaConfig, sequences, i: int) -> list:
+    """Validate a user set of chip sequences for user i; return their chip vectors.
 
-    Returns the set with every chip sequence replaced by its chip vector;
-    SpectralCoeffs are passed through unchanged, or rejected with a ValueError
-    when ``chips_only`` is set by a route that integrates over chips.  Each
-    user's mean chip power ||s||^2/N (for SpectralCoeffs, ||alpha||^2/N and
-    ||beta||^2/N) must be 0 or in [1e-30, 1e30]; a square beyond the float
-    range is inf, unwarned.
+    Each user's mean chip power ||s||^2/N must be 0 or in [1e-30, 1e30]; a
+    square beyond the float range is inf, unwarned.  A SpectralCoeffs is no
+    chip sequence: converting it raises numpy's TypeError.
     """
     if len(sequences) != cfg.n_users:
         raise ValueError(
@@ -140,20 +137,14 @@ def _check_user_set(cfg: CdmaConfig, sequences, i: int, chips_only: bool = False
         )
     if not 1 <= i <= cfg.n_users:
         raise ValueError(f"user index {i} out of range 1..{cfg.n_users}")
-    if chips_only and any(isinstance(s, SpectralCoeffs) for s in sequences):
-        raise ValueError("this route integrates over chips: it needs chip sequences, "
-                         "not SpectralCoeffs")
-    users = [s if isinstance(s, SpectralCoeffs) else sequence_entries(s) for s in sequences]
+    users = [sequence_entries(s) for s in sequences]
     with np.errstate(over="ignore"):
         for k, u in enumerate(users, start=1):
-            for name, v in ([("mean chip power", u.alpha), ("||beta||^2/N", u.beta)]
-                            if isinstance(u, SpectralCoeffs) else [("mean chip power", u)]):
-                v = np.ascontiguousarray(v)
-                if v.shape[0] != cfg.n_chips:
-                    raise ValueError("sequence length does not match cfg.n_chips")
-                parts = v.view(float)  # the Re and Im parts, whose squares sum to ||v||^2
-                power = float(np.einsum("i,i->", parts, parts)) / cfg.n_chips
-                _check_range(f"{name} of user {k}", power, zero_ok=True)
+            if u.shape[0] != cfg.n_chips:
+                raise ValueError("sequence length does not match cfg.n_chips")
+            parts = np.ascontiguousarray(u).view(float)  # Re and Im, squares sum to ||u||^2
+            power = float(np.einsum("i,i->", parts, parts)) / cfg.n_chips
+            _check_range(f"mean chip power of user {k}", power, zero_ok=True)
     return users
 
 
@@ -181,10 +172,10 @@ def interference_variance_direct(cfg: CdmaConfig, sequences, i: int) -> float:
     """Var_I for user i by explicit chip-interval integration and exact bit average.
 
     The bit expectation is the exact mean over the four (b_prev, b_cur) sign
-    pairs.  ``sequences`` are chip sequences (SpectralCoeffs raise
-    ValueError).  Returns 0 for a single-user system.
+    pairs.  ``sequences`` are chip sequences.  Returns 0 for a single-user
+    system.
     """
-    entries = _check_user_set(cfg, sequences, i, chips_only=True)
+    entries = _check_user_set(cfg, sequences, i)
     tc = cfg.chip_duration
     total = 0.0
     for k, sk in enumerate(entries, start=1):
@@ -195,14 +186,13 @@ def interference_variance_direct(cfg: CdmaConfig, sequences, i: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _weights(n_chips: int) -> tuple[np.ndarray, np.ndarray]:
-    """The S_m weights (1 + cos(2 pi m/N)/2, 1 + cos(2 pi (m/N + 1/(2N)))/2), m = 1..N."""
+def _weights(n_chips: int) -> np.ndarray:
+    """The (2, N) S_m weights: rows 1 + cos(2 pi m/N)/2 and 1 + cos(2 pi (m/N + 1/(2N)))/2."""
     m = np.arange(1, n_chips + 1)
-    w_alpha = 1.0 + 0.5 * np.cos(2 * np.pi * m / n_chips)
-    w_beta = 1.0 + 0.5 * np.cos(2 * np.pi * (m / n_chips + 1.0 / (2 * n_chips)))
-    w_alpha.setflags(write=False)
-    w_beta.setflags(write=False)
-    return w_alpha, w_beta
+    weights = np.array([1.0 + 0.5 * np.cos(2 * np.pi * m / n_chips),
+                        1.0 + 0.5 * np.cos(2 * np.pi * (m / n_chips + 1.0 / (2 * n_chips)))])
+    weights.setflags(write=False)
+    return weights
 
 
 def _powers(coeffs) -> np.ndarray:
@@ -236,8 +226,8 @@ def s_m_terms(c_i: SpectralCoeffs, c_k: SpectralCoeffs) -> np.ndarray:
 def interference_variance_spectral(cfg: CdmaConfig, sequences, i: int) -> float:
     """Var_I for user i via the spectral form (P T^2 / 12 N^2) sum_k sum_m S_m.
 
-    ``sequences`` may hold chip sequences or ready-made SpectralCoeffs.
-    Must agree with interference_variance_direct to roundoff.
+    ``sequences`` are chip sequences.  Must agree with
+    interference_variance_direct to roundoff.
     """
     return snr(cfg, sequences, i).interference_variance
 
@@ -249,12 +239,13 @@ def snr(cfg: CdmaConfig, sequences, i: int) -> SnrBreakdown:
     finite value and is reported as snr = inf.  Otherwise the SNR is
     (s_sum/(6N^2) + N0/(2PT))^(-1/2) as written: N0/(2PT) is 0 or in [5e-91,
     5e89], and s_sum/(6N^2) is at most (K-1) 1e60/4, as each S_m weight is at
-    most 3/2 and each ||alpha||^2 and ||beta||^2 at most 1e30 N, so no
-    quotient overflows.  A positive S_m sum so small that s_sum/(6N^2) rounds
-    to 0 while N0 = 0 raises ValueError naming the sum.
+    most 3/2 and both bases are isometries, so each ||alpha||^2 and
+    ||beta||^2 is the chip energy ||s||^2 to roundoff, at most 1e30 N: no
+    quotient overflows.  A positive S_m sum so small that s_sum/(6N^2) rounds to 0
+    while N0 = 0 raises ValueError naming the sum.  ``sequences`` are chip
+    sequences.
     """
-    users = _check_user_set(cfg, sequences, i)
-    coeffs = [u if isinstance(u, SpectralCoeffs) else decompose(u) for u in users]
+    coeffs = [decompose(u) for u in _check_user_set(cfg, sequences, i)]
     return _user_snr(cfg, _powers(coeffs), i)
 
 

@@ -16,10 +16,12 @@ each:
     minimize f(a1, a2) = sum_m S_m(a1, a2)   s.t.  ||a_k||^2 = N,  k = 1, 2.
 
 Value, gradient and Hessian all read f's per-frequency terms from ``_terms``:
-b_k = phi_hat' a_k and the length-N vectors p, q, r, t = |a1|^2, |a2|^2,
-|b1|^2, |b2|^2, so that f = sum(w_alpha p q) + sum(w_beta r t).  The solver's
-iterate z is a (2, 2N) array whose row k is user k's stacked alpha; only the
-Newton model flattens it, to z.ravel().
+b_k = phi_hat' a_k and the (2, 2, N) stack P whose row k is user k's
+(|a_k|^2, |b_k|^2), the layout of ``interference._powers``.  So f is the sum
+of ``interference._s_m(P[0], P[1])``, and user k's per-frequency slopes are
+2 w P[1-k], with w the (2, N) S_m weights.  The solver's iterate z is a
+(2, 2N) array whose row k is user k's stacked alpha; only the Newton model
+flattens it, to z.ravel().
 
 The local solver uses the problem's structure (block-coordinate and
 Riemannian Newton methods on spheres; Absil, Mahony & Sepulchre,
@@ -45,10 +47,12 @@ iterates and every output byte are the same whatever the host's core count
 or OPENBLAS_NUM_THREADS.  No matrix-matrix product is wider than 2N and no
 eigen-decomposition wider than 4N.
 
-The reported beta is phi_hat' a', the same real matvec that the coupling
-error e2 measures, so a report's e2 is 0 by construction.  The coupling is
-checked independently by decomposing the emitted chip sequences, whose beta
-must match both phi_hat alpha and the reported beta to roundoff.
+A report describes the chip sequences it emits.  They are reconstructed from
+the final alpha and decomposed once, and the objective, SNR, e1 and e2 all
+come from that decomposition.  So e2 measures the coupling of the emitted
+chips, which decompose never takes from phi_hat (the two DFTs' roundoff,
+about 1e-15), and re-scoring the sequences with ``interference.snr``
+reproduces the reported objective and SNR bit for bit.
 """
 
 import contextlib
@@ -63,9 +67,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .interference import CdmaConfig, _weights, snr
+from .interference import CdmaConfig, _powers, _s_m, _user_snr, _weights
 from .sequences import ChipSequence, random_feasible_point
-from .spectral import SpectralCoeffs, coupling_matrices, reconstruct
+from .spectral import SpectralCoeffs, coeffs_from_alpha, coupling_matrices, decompose, reconstruct
 
 __all__ = [
     "RealCouplingMatrices",
@@ -128,13 +132,11 @@ def _twice(v: np.ndarray) -> np.ndarray:
 
 
 def _terms(a1: np.ndarray, a2: np.ndarray, n: int):
-    """phi_hat', b_k = phi_hat' a_k and f's per-frequency |a1|^2, |a2|^2, |b1|^2, |b2|^2."""
+    """phi_hat', the rows b_k = phi_hat' a_k and the _powers stack of (a_k, b_k)."""
     phi_hat_r = real_coupling_matrices(n).phi_hat_r
-    b1 = phi_hat_r @ a1
-    b2 = phi_hat_r @ a2
-    squares = np.square([a1, a2, b1, b2])
-    p, q, r, t = squares[:, :n] + squares[:, n:]
-    return phi_hat_r, b1, b2, p, q, r, t
+    b = np.array([phi_hat_r @ a1, phi_hat_r @ a2])
+    squares = np.square([[a1, b[0]], [a2, b[1]]])
+    return phi_hat_r, b, squares[..., :n] + squares[..., n:]
 
 
 def _check_stacked(a1, a2, n_chips):
@@ -152,24 +154,23 @@ def objective(a1, a2, n_chips: int) -> float:
     swapping the users, and equals the complex-form sum of s_m_terms.
     """
     a1, a2 = _check_stacked(a1, a2, n_chips)
-    w_alpha, w_beta = _weights(n_chips)
-    p, q, r, t = _terms(a1, a2, n_chips)[3:]
-    return float(np.sum(w_alpha * p * q) + np.sum(w_beta * r * t))
+    powers = _terms(a1, a2, n_chips)[2]
+    return float(np.sum(_s_m(powers[0], powers[1])))
 
 
 def objective_gradient(a1, a2, n_chips: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of ``objective`` with respect to (a1, a2).
 
-    With the per-frequency terms of ``_terms``, the beta contribution chains
-    through the orthogonal coupling: grad_a1 = 2 (w_alpha q)|a1 +
-    phi_hat'^T [2 (w_beta t)|b1], and symmetrically for a2, with each
-    per-frequency product repeated over both stacked halves.
+    With user k's per-frequency slopes (s_alpha, s_beta) = 2 w P[1-k] from
+    the stack P of ``_terms``, the beta contribution chains through the
+    orthogonal coupling: grad_a_k = s_alpha|a_k + phi_hat'^T [s_beta|b_k],
+    with each slope repeated over both stacked halves.
     """
     a1, a2 = _check_stacked(a1, a2, n_chips)
-    w_alpha, w_beta = _weights(n_chips)
-    phi_hat_r, b1, b2, p, q, r, t = _terms(a1, a2, n_chips)
-    g1 = 2.0 * _twice(w_alpha * q) * a1 + phi_hat_r.T @ (2.0 * _twice(w_beta * t) * b1)
-    g2 = 2.0 * _twice(w_alpha * p) * a2 + phi_hat_r.T @ (2.0 * _twice(w_beta * r) * b2)
+    phi_hat_r, b, powers = _terms(a1, a2, n_chips)
+    slopes = (2.0 * _weights(n_chips)) * powers[::-1]
+    g1, g2 = (_twice(s_alpha) * a + phi_hat_r.T @ (_twice(s_beta) * b_k)
+              for a, b_k, (s_alpha, s_beta) in zip((a1, a2), b, slopes))
     return g1, g2
 
 
@@ -229,7 +230,10 @@ class SolverConfig:
 class SolveReport:
     """Outcome of a local solve or a multi-restart run.
 
-    ``seed`` is the seed of the starting point when solve_multistart drew it.
+    ``best_sequences`` are the emitted chip sequences; ``objective``,
+    ``snr``, ``e1`` and ``e2`` are measured on their decomposition, whose
+    coefficients ``[decompose(s) for s in best_sequences]`` gives.  ``seed``
+    is the seed of the starting point when solve_multistart drew it.
     solve_multistart returns a copy of the best restart's report whose
     ``restarts`` holds every restart's own report in restart order; the
     ``restart_*`` properties read one entry per record, or the report itself
@@ -237,7 +241,6 @@ class SolveReport:
     """
 
     n_chips: int
-    best_coeffs: list[SpectralCoeffs]
     best_sequences: list[ChipSequence]
     objective: float
     snr: float
@@ -278,25 +281,17 @@ def _kkt_residual_reduced(z: np.ndarray, grads) -> float:
 
 
 def _report_from_stacked(z, n_chips, iterations, status, kkt, trace):
-    phi_hat_r = real_coupling_matrices(n_chips).phi_hat_r
-    # beta computed by the same real matvec used in feasibility_errors, so a
-    # feasible reduced-form solution reports e2 = 0 exactly
-    coeffs = [SpectralCoeffs(alpha=complexify(a), beta=complexify(phi_hat_r @ a)) for a in z]
-    seqs = [
-        ChipSequence(
-            reconstruct(c, "alpha"), label=f"optimized(N={n_chips},user={k + 1})"
-        )
-        for k, c in enumerate(coeffs)
-    ]
-    # the emitted sequences are scored by interference.snr itself, so
-    # re-evaluating them reproduces the reported SNR bit for bit even when the
-    # objective sits at the roundoff floor; the solver-path values remain in
-    # objective_trace
-    scored = snr(CdmaConfig(n_chips=n_chips, n_users=2), seqs, 1)
+    seqs = [ChipSequence(reconstruct(coeffs_from_alpha(complexify(a))),
+                         label=f"optimized(N={n_chips},user={k + 1})") for k, a in enumerate(z)]
+    # the emitted sequences are decomposed once and scored as interference.snr
+    # scores them, so re-evaluating them reproduces the reported SNR bit for bit
+    # even when the objective sits at the roundoff floor; e1 and e2 measure the
+    # same decomposition, and the solver-path values remain in objective_trace
+    coeffs = [decompose(s) for s in seqs]
+    scored = _user_snr(CdmaConfig(n_chips=n_chips, n_users=2), _powers(coeffs), 1)
     e1, e2 = feasibility_errors(coeffs)
     return SolveReport(
         n_chips=n_chips,
-        best_coeffs=coeffs,
         best_sequences=seqs,
         objective=scored.s_m_sum,
         snr=scored.snr,
@@ -338,16 +333,16 @@ def _euclidean_hessian(z: np.ndarray, n_chips: int) -> np.ndarray:
     entries (i, j) with i = j mod N.
     """
     a1, a2 = z
-    w_alpha, w_beta = _weights(n_chips)
-    phi_hat_r, b1, b2, p, q, r, t = _terms(a1, a2, n_chips)
+    w = _weights(n_chips)
+    phi_hat_r, b, powers = _terms(a1, a2, n_chips)
     pair = np.tile(np.eye(n_chips), (2, 2))
-    cross = 4.0 * np.outer(_twice(w_alpha) * a1, a2) * pair + phi_hat_r.T @ (
-        (4.0 * np.outer(_twice(w_beta) * b1, b2) * pair) @ phi_hat_r
+    cross = 4.0 * np.outer(_twice(w[0]) * a1, a2) * pair + phi_hat_r.T @ (
+        (4.0 * np.outer(_twice(w[1]) * b[0], b[1]) * pair) @ phi_hat_r
     )
     hess = np.empty((2, 2 * n_chips, 2, 2 * n_chips))
-    for k, beta_other, alpha_other in ((0, t, q), (1, r, p)):
-        hess[k, :, k] = (phi_hat_r.T * _twice(2.0 * w_beta * beta_other)) @ phi_hat_r
-        hess[k, :, k][np.diag_indices(2 * n_chips)] += _twice(2.0 * w_alpha * alpha_other)
+    for k, (s_alpha, s_beta) in enumerate((2.0 * w) * powers[::-1]):
+        hess[k, :, k] = (phi_hat_r.T * _twice(s_beta)) @ phi_hat_r
+        hess[k, :, k][np.diag_indices(2 * n_chips)] += _twice(s_alpha)
     hess[0, :, 1] = cross
     hess[1, :, 0] = cross.T
     return hess

@@ -147,16 +147,15 @@ def estimate_snr(
     sqrt(Var_D / (Var_I + N0*T/4)) with Var_D = P*T^2/2, which is inf when
     there is no interference estimate and N0 is 0, and is evaluated as
     written: Var_D is in [5e-91, 5e89] and N0*T/4 is 0 or in [2.5e-61,
-    2.5e59] (``CdmaConfig``'s ranges).  ``sequences`` are chip sequences
-    (SpectralCoeffs raise ValueError).  ``trials`` is any integer of at least
-    100 and ``seed`` any integer, numpy integers included; a float raises
-    TypeError.  Blocks run in turn on the calling thread,
-    because worker threads measured no faster than one.
+    2.5e59] (``CdmaConfig``'s ranges).  ``sequences`` are chip sequences.
+    ``trials`` is any integer of at least 100 and ``seed`` any integer, numpy
+    integers included; a float raises TypeError.  Blocks run in turn on the
+    calling thread, because worker threads measured no faster than one.
     """
     trials = operator.index(trials)
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    entries = _check_user_set(cfg, sequences, i, chips_only=True)
+    entries = _check_user_set(cfg, sequences, i)
 
     interferers = [k for k in range(1, cfg.n_users + 1) if k != i]
     seed = operator.index(seed) % 2**64
