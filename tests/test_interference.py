@@ -24,7 +24,7 @@ from spreadopt.interference import (
 from spreadopt.cli import read_sequence_set
 from spreadopt.sequences import fzc_sequence, gold_family, gold_pair
 from spreadopt.simulator import estimate_snr
-from spreadopt.spectral import SpectralCoeffs, _demodulation, decompose
+from spreadopt.spectral import SpectralCoeffs, _demodulation, decompose, reconstruct
 
 # (b_prev, b_cur) in the row order of _bit_table
 BIT_PAIRS = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
@@ -246,6 +246,16 @@ class TestUserSetValidation:
         cfg = CdmaConfig(n_chips=31, n_users=2)
         with pytest.raises(TypeError, match="must be real number, not SpectralCoeffs"):
             route(cfg, [decompose(s) for s in gold_pair(5)], 1)
+
+    def test_chip_sequences_and_coefficients_agree(self):
+        # snr scores chips; the optimizer's report scores their coefficients,
+        # and a coefficient set is scored through its reconstructed chips
+        cfg = CdmaConfig(n_chips=31, n_users=2)
+        pair = gold_pair(5)
+        coeffs = [decompose(s) for s in pair]
+        assert _user_snr(cfg, _powers(coeffs), 1) == snr(cfg, pair, 1)
+        assert snr(cfg, [reconstruct(c) for c in coeffs], 1).snr == pytest.approx(
+            snr(cfg, pair, 1).snr, rel=1e-12)
 
 
 class TestSmTerms:
@@ -522,3 +532,24 @@ class TestInputRange:
         cfg = CdmaConfig(n_chips=4, n_users=1)
         with pytest.raises(ValueError, match=r"mean chip power of user 1 .* got inf$"):
             snr(cfg, [np.array([1e200, 1.0, 1.0, 1.0])], 1)
+
+    def test_spectral_coeffs_bounded_by_their_alpha(self):
+        # the alpha basis is an isometry: the chips carry the energy of alpha
+        cfg = CdmaConfig(n_chips=4, n_users=2)
+        silent = reconstruct(SpectralCoeffs(alpha=np.zeros(4), beta=np.zeros(4)))
+        tiny = reconstruct(SpectralCoeffs(alpha=np.full(4, 1e-20), beta=np.full(4, 1.0)))
+        assert snr(cfg, [silent, silent], 1).snr == math.inf
+        with pytest.raises(ValueError, match=r"^mean chip power of user 2 .* got 1e-40$"):
+            snr(cfg, [silent, tiny], 1)
+
+    @pytest.mark.parametrize("bad, got", [(1e200, "inf"), (math.nan, "nan")])
+    def test_spectral_coeffs_bounded_by_their_beta(self, bad, got):
+        # the beta basis is an isometry too, so chips built from an out-of-range
+        # beta are refused before any S_m is formed (no overflow warning, no nan snr)
+        cfg = CdmaConfig(n_chips=4, n_users=2)
+        pair = [reconstruct(SpectralCoeffs([2, 0, 0, 0], [bad, 0, 0, 0]), basis="beta"),
+                reconstruct(SpectralCoeffs([0, 2, 0, 0], [bad, 0, 0, 0]), basis="beta")]
+        for route in (snr, interference_variance_spectral):
+            with pytest.raises(ValueError, match=r"^mean chip power of user 1 must be finite "
+                                                 rf"and 0 or in \[1e-30, 1e30\], got {got}$"):
+                route(cfg, pair, 1)
