@@ -129,7 +129,7 @@ def _check_user_set(cfg: CdmaConfig, sequences, i: int) -> list:
 
     Each user's mean chip power ||s||^2/N must be 0 or in [1e-30, 1e30]; a
     square beyond the float range is inf, unwarned.  A SpectralCoeffs is no
-    chip sequence: converting it raises numpy's TypeError.
+    chip sequence: converting it raises TypeError.
     """
     if len(sequences) != cfg.n_users:
         raise ValueError(

@@ -28,13 +28,12 @@ The half-bin offset keeps every denominator away from zero.  Indices m, n are
 1-based in the formulas above; arrays returned by this module store index m
 at position m-1.
 
-Both maps are DFTs, which ``decompose``, ``reconstruct`` and
-``coeffs_from_alpha`` evaluate in O(N log N) with no N x N table.  As
-w_m(eta)[n] = w_1(eta)[n] exp(2 pi j n (m-1)/N) for 0-based n, demodulating
-by w_1 puts frequency m in DFT bin m-1.  With the unitary (1/sqrt(N)) DFT,
-alpha = fft(s conj(w_1(0))), beta = fft(s conj(w_1(1/(2N)))) and
-s = ifft(alpha) w_1(0) = ifft(beta) w_1(1/(2N)).  (Bin k of the plain fft(s)
-holds m = k for k >= 1 and m = N for k = 0.)
+Both maps are DFTs, which ``decompose`` and ``reconstruct`` evaluate in
+O(N log N) with no N x N table.  As w_m(eta)[n] = w_1(eta)[n] exp(2 pi j n
+(m-1)/N) for 0-based n, demodulating by w_1 puts frequency m in DFT bin m-1.  With the unitary
+(1/sqrt(N)) DFT, alpha = fft(s conj(w_1(0))), beta = fft(s conj(w_1(1/(2N))))
+and s = ifft(alpha) w_1(0) = ifft(beta) w_1(1/(2N)).  (Bin k of the plain
+fft(s) holds m = k for k >= 1 and m = N for k = 0.)
 ``basis_vector`` evaluates the definition directly and is the reference.
 """
 
@@ -183,14 +182,7 @@ def coupling_matrices(n_chips: int) -> CouplingMatrices:
 
 
 def coeffs_from_alpha(alpha: np.ndarray) -> SpectralCoeffs:
-    """Complete an alpha vector into a full coefficient pair, beta = phi_hat @ alpha.
-
-    beta is the beta DFT of the chips that alpha expands to,
-    fft(ifft(alpha) w_1(0) conj(w_1(1/(2N)))), so no N x N table is built.
-    """
+    """Complete an alpha vector into a full coefficient pair via phi_hat."""
     alpha = np.asarray(alpha, dtype=complex)
-    if alpha.ndim != 1 or alpha.shape[0] < 2:
-        raise ValueError("alpha must be a 1-D vector of length at least 2")
-    d0, d1 = _demodulation(alpha.shape[0])
-    beta = np.fft.fft(np.fft.ifft(alpha, norm="ortho") * np.conj(d0) * d1, norm="ortho")
-    return SpectralCoeffs(alpha=alpha, beta=beta)
+    phi_hat = coupling_matrices(alpha.shape[0]).phi_hat
+    return SpectralCoeffs(alpha=alpha, beta=phi_hat @ alpha)

@@ -14,8 +14,8 @@ from spreadopt import __version__, cli, interference, metrics, optimizer
 from spreadopt.cli import main, read_sequence_set, write_sequence_set
 from spreadopt.interference import CdmaConfig, interference_variance_direct
 from spreadopt.metrics import correlation_peaks, sarwate_check
-from spreadopt.optimizer import feasibility_errors, restart_seed
-from spreadopt.sequences import ChipSequence, gold_pair, random_feasible_point
+from spreadopt.optimizer import restart_seed
+from spreadopt.sequences import ChipSequence, gold_pair
 from spreadopt.spectral import decompose
 from test_metrics import brute_force_peaks
 
@@ -321,19 +321,6 @@ class TestEvaluate:
 
 
 class TestOptimize:
-    def test_long_code_start_point(self):
-        # a start point completes beta by FFT; building the dense N x N phi_hat
-        # and checking its unitarity peaked at about 73 MB, and one complex
-        # N x N table alone is 16.7 MB
-        tracemalloc.start()
-        try:
-            point = random_feasible_point(1023, 2, restart_seed(7, 1))
-            peak_bytes = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak_bytes < 4 * 2**20
-        assert feasibility_errors(point)[1] <= 1e-12
-
     def test_run_is_reproducible_and_consistent(self, tmp_path, capsys):
         args = ["optimize", "--n", "8", "--restarts", "3", "--seed", "7",
                 "--threads", "1"]
